@@ -1,5 +1,7 @@
 package repro.core
 
+import scala.collection.mutable
+
 /** Predicted compression performance of one codec on one partition.
   *
   * @param ratio         R^k_n — compression ratio (rawBytes / compressedBytes), >= 1 typically
@@ -36,7 +38,11 @@ final case class PartitionStat(
     currentTier: Int,
     currentCodec: Int,
     codecPerfs: IndexedSeq[CodecPerf],
-)
+) {
+  require(sizeGB >= 0, s"partition $id: sizeGB must be a non-negative number, got $sizeGB")
+  require(accesses >= 0, s"partition $id: accesses must be a non-negative number, got $accesses")
+  require(codecPerfs.nonEmpty, s"partition $id: codecPerfs must hold at least the identity codec")
+}
 
 /** A solved assignment: partition `id` goes to `tier` with codec `codec`. */
 final case class Assignment(id: Int, tier: Int, codec: Int)
@@ -58,6 +64,8 @@ final case class OptAssignInstance(
     months: Double = 1.0,
 ) {
   require(capacityGB.length == tiers.length, "one capacity per tier")
+  require(capacityGB.forall(_ >= 0),
+    s"capacities must be non-negative numbers (GB or +Infinity), got ${capacityGB.mkString(", ")}")
 }
 
 /** OPTASSIGN (Section IV): choose a tier and compression scheme per partition
@@ -134,6 +142,10 @@ object OptAssign {
     * extra per GB freed. Exact on all instances where capacity is slack
     * (then it IS the greedy), and cross-checked against branch-and-bound in
     * tests elsewhere.
+    *
+    * Cost: O(N·L·K·log(L·K)) once to sort every partition's options, then
+    * O(N + N_l·L·K) per eviction, where N_l is the number of partitions in
+    * the overfull tier.
     */
   def solve(inst: OptAssignInstance): Option[Vector[Assignment]] =
     solveScored(inst, costOf(inst, _, _, _))
@@ -143,39 +155,49 @@ object OptAssign {
     */
   def solveScored(inst: OptAssignInstance,
                   score: (PartitionStat, Int, Int) => Double): Option[Vector[Assignment]] = {
-    def options(p: PartitionStat) = feasibleOptionsScored(inst, p, score)
-    val base0 = inst.parts.map(p => options(p).headOption.map { case (l, k, _) => Assignment(p.id, l, k) })
-    if (base0.exists(_.isEmpty)) return None
-    val base = base0.map(_.get)
-    val assign = scala.collection.mutable.Map.from(base.map(a => a.id -> a))
-    val byId   = inst.parts.map(p => p.id -> p).toMap
-
-    def used(l: Int): Double =
-      assign.valuesIterator.filter(_.tier == l).map(a => storedGB(byId(a.id), a.codec)).sum
+    val options = inst.parts.map(p => feasibleOptionsScored(inst, p, score))
+    if (options.exists(_.isEmpty)) return None
+    // Partitions are visited in the iteration order of a mutable map keyed by
+    // id (the last partition of an id wins). Eviction ties go to the first
+    // candidate in that order, and per-tier usage is summed in it, so the
+    // order is part of the answer; ids need not be contiguous.
+    val slots  = mutable.Map.from(inst.parts.indices.map(i => inst.parts(i).id -> i)).valuesIterator.toArray
+    val parts  = slots.map(inst.parts)
+    val opts   = slots.map(options)
+    val tier   = opts.map(_.head._1)
+    val codec  = opts.map(_.head._2)
+    val caps   = inst.capacityGB
+    val used   = new Array[Double](inst.tiers.size)
+    val byCost = Ordering.Double.TotalOrdering
 
     var guard = 0
     val maxIters = inst.parts.size * inst.tiers.size * 4 + 16
     while (guard < maxIters) {
       guard += 1
-      val over = inst.tiers.indices.find(l => used(l) > inst.capacityGB(l) + 1e-9)
-      over match {
-        case None => return Some(assign.values.toVector.sortBy(_.id))
+      java.util.Arrays.fill(used, 0.0)
+      for (i <- slots.indices) used(tier(i)) += storedGB(parts(i), codec(i))
+      inst.tiers.indices.find(l => used(l) > caps(l) + 1e-9) match {
+        case None =>
+          return Some(slots.indices.map(i => Assignment(parts(i).id, tier(i), codec(i))).toVector.sortBy(_.id))
         case Some(l) =>
-          // Candidate moves out of the overfull tier l.
-          val candidates = for {
-            a <- assign.values.toVector if a.tier == l
-            p = byId(a.id)
-            (l2, k2, c2) <- options(p)
-            if l2 != l
-            if used(l2) + storedGB(p, k2) <= inst.capacityGB(l2) + 1e-9
-          } yield {
-            val cur = score(p, a.tier, a.codec)
-            val freed = storedGB(p, a.codec)
-            (a.id, l2, k2, (c2 - cur) / math.max(freed, 1e-12))
+          // The cheapest move (extra score per GB freed) out of the overfull
+          // tier l into a tier with spare capacity; the first one wins ties.
+          var best = -1; var bestTier = -1; var bestCodec = -1; var bestRatio = 0.0
+          for (i <- slots.indices if tier(i) == l) {
+            val p     = parts(i)
+            val cur   = score(p, l, codec(i))
+            val freed = math.max(storedGB(p, codec(i)), 1e-12)
+            for ((l2, k2, c2) <- opts(i))
+              if (l2 != l && used(l2) + storedGB(p, k2) <= caps(l2) + 1e-9) {
+                val ratio = (c2 - cur) / freed
+                if (best < 0 || byCost.lt(ratio, bestRatio)) {
+                  best = i; bestTier = l2; bestCodec = k2; bestRatio = ratio
+                }
+              }
           }
-          if (candidates.isEmpty) return None // cannot repair: instance infeasible for this heuristic
-          val (id, l2, k2, _) = candidates.minBy(_._4)
-          assign(id) = Assignment(id, l2, k2)
+          if (best < 0) return None // cannot repair: instance infeasible for this heuristic
+          tier(best) = bestTier
+          codec(best) = bestCodec
       }
     }
     None

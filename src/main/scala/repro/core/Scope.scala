@@ -145,8 +145,8 @@ object Scope {
   /** Capacity reservations as fractions of the raw volume. The paper's
     * Table XII reservations are only mildly binding (its Hermes rows keep
     * the big tables on Premium, and "SCOPe (No capacity constraint)" barely
-    * differs from "Total cost focused"), so Premium holds half the lake and
-    * Hot three quarters; the last online tier absorbs the rest.
+    * differs from "Total cost focused"), so Premium and Hot may each hold
+    * 90% of the raw volume; the last online tier absorbs the rest.
     */
   val capFracs: Vector[Double] = Vector(0.9, 0.9, Double.PositiveInfinity)
 
@@ -232,13 +232,7 @@ object Scope {
     }
     val inst = OptAssignInstance(stats, v.tiers, caps, v.weights, months)
     val assignment =
-      if (v.latencyLex)
-        // HCompress adaptation: minimize expected (access-weighted) latency
-        // = rho * (decompression time + TTFB), with cost as the tiebreak.
-        OptAssign.solveScored(inst, (p, l, k) =>
-          math.max(p.accesses, 1.0) *
-            (p.codecPerfs(k).decompSecPerGB * p.sizeGB + inst.tiers(l).ttfbSec) * 1e6 +
-            OptAssign.costOf(inst, p, l, k))
+      if (v.latencyLex) OptAssign.solveScored(inst, latencyLexScore(inst))
       else if (stats.length <= 12)
         // Whole-table instances are tiny: solve the ILP exactly (the greedy
         // repair can evict the wrong table when only a small deficit needs
@@ -248,7 +242,26 @@ object Scope {
       else OptAssign.solve(inst)
     val chosen = assignment.getOrElse(
       throw new IllegalStateException(s"variant ${v.key} infeasible"))
-    report(v, inst, chosen, months)
+    report(v, inst, checkedPlan(v, inst, chosen), months)
+  }
+
+  /** HCompress adaptation: minimize expected (access-weighted) latency
+    * = rho * (decompression time + TTFB), with cost as the tiebreak.
+    */
+  def latencyLexScore(inst: OptAssignInstance): (PartitionStat, Int, Int) => Double =
+    (p, l, k) =>
+      math.max(p.accesses, 1.0) *
+        (p.codecPerfs(k).decompSecPerGB * p.sizeGB + inst.tiers(l).ttfbSec) * 1e6 +
+        OptAssign.costOf(inst, p, l, k)
+
+  /** Returns `chosen` if it satisfies every OPTASSIGN constraint of `inst`;
+    * otherwise throws rather than report an infeasible plan for `v`.
+    */
+  def checkedPlan(v: Variant, inst: OptAssignInstance, chosen: Seq[Assignment]): Seq[Assignment] = {
+    if (!OptAssign.feasible(inst, chosen))
+      throw new IllegalStateException(
+        s"variant ${v.key} produced a plan that breaks a coverage, capacity, latency or codec constraint")
+    chosen
   }
 
   /** Cost/latency breakdown at reporting weights (1,1,1). */

@@ -184,4 +184,31 @@ class OptAssignSpec extends AnyFunSuite {
     assert(OptAssign.storedGB(onePart, 1) == 2.0)
     assert(OptAssign.storedGB(onePart, 0) == 4.0)
   }
+
+  test("PartitionStat rejects NaN or negative sizeGB") {
+    for (bad <- Seq(Double.NaN, -1.0)) {
+      val e = intercept[IllegalArgumentException](onePart.copy(sizeGB = bad))
+      assert(e.getMessage.contains("sizeGB"))
+    }
+  }
+
+  test("PartitionStat rejects NaN or negative accesses") {
+    for (bad <- Seq(Double.NaN, -0.5)) {
+      val e = intercept[IllegalArgumentException](onePart.copy(accesses = bad))
+      assert(e.getMessage.contains("accesses"))
+    }
+  }
+
+  test("PartitionStat rejects an empty codecPerfs") {
+    val e = intercept[IllegalArgumentException](onePart.copy(codecPerfs = Vector.empty))
+    assert(e.getMessage.contains("codecPerfs"))
+  }
+
+  test("OptAssignInstance rejects NaN or negative capacities") {
+    for (bad <- Seq(Double.NaN, -2.0)) {
+      val e = intercept[IllegalArgumentException](
+        simpleInst(Vector(onePart), caps = Some(Vector(1.0, bad, Double.PositiveInfinity))))
+      assert(e.getMessage.contains("capacities"))
+    }
+  }
 }

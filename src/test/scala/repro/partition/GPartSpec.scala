@@ -125,4 +125,19 @@ class GPartSpec extends AnyFunSuite {
     assert(costG >= costNoMerge - 1e-9, "merging can only increase expected read cost")
     assert(costG <= costAll + 1e-9, "S_thresh must keep cost below the merge-all extreme")
   }
+
+  test("GPartConfig rejects rhoC <= 0") {
+    for (bad <- Seq(0.0, -1.0, Double.NaN))
+      assert(intercept[IllegalArgumentException](GPartConfig(rhoC = bad)).getMessage.contains("rhoC"))
+  }
+
+  test("GPartConfig rejects a negative rhoCAbs") {
+    for (bad <- Seq(-1.0, Double.NaN))
+      assert(intercept[IllegalArgumentException](GPartConfig(rhoCAbs = bad)).getMessage.contains("rhoCAbs"))
+  }
+
+  test("GPartConfig rejects sThreshRows <= 0") {
+    for (bad <- Seq(0L, -5L))
+      assert(intercept[IllegalArgumentException](GPartConfig(sThreshRows = bad)).getMessage.contains("sThreshRows"))
+  }
 }
