@@ -3,8 +3,8 @@ package repro.bench
 import repro.SparkSpec
 
 /** Shared scaffolding for the table benches: bench scale factor and a
-  * uniform "paper vs measured" banner so `bench_output.txt` is directly
-  * diffable against EXPERIMENTS.md.
+  * uniform "paper vs measured" banner, so the stdout of `sbt bench/test`
+  * is directly diffable against EXPERIMENTS.md.
   */
 trait BenchBase extends SparkSpec {
   /** Bench scale: SF=0.1 (~100 MB synthetic TPC-H-lite) unless overridden. */

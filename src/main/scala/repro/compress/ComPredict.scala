@@ -85,21 +85,16 @@ object ComPredict {
     Vector(Averaging, gbt(seed), linear(), randomForest(seed))
 
   /** Builds labelled examples from samples for one (layout, codec):
-    * features per `featureKind` ("entropy" = weighted entropy + size,
-    * "size" = size-only, "bucketed" = bucketed entropy + size), targets
-    * measured with the real codec.
+    * features of the given kind, targets measured with the real codec.
     */
   def buildExamples(samples: Seq[Sampling.Sample], layout: Layout, codec: Codec,
-                    featureKind: String = "entropy"): Vector[Example] =
+                    featureKind: Features.Kind = Features.Entropy): Vector[Example] =
     samples.iterator.map { s =>
       val raw  = layout.serialize(s.rows)
       val meas = CompressionMeasure.measureBytes(raw, codec)
       val feats = featureKind match {
-        case "size" => Features.sizeOnlyVector(raw.length.toLong, s.rows.length.toLong)
-        case "bucketed" =>
-          Features.featureVector(raw.length.toLong, s.rows.length.toLong,
-            Features.bucketedWeightedEntropyLocal(s.rows, s.schema))
-        case _ =>
+        case Features.Size => Features.sizeOnlyVector(raw.length.toLong, s.rows.length.toLong)
+        case Features.Entropy =>
           Features.featureVector(raw.length.toLong, s.rows.length.toLong,
             Features.weightedEntropyLocal(s.rows, s.schema))
       }

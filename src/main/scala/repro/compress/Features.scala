@@ -15,6 +15,13 @@ import org.apache.spark.sql.types._
   */
 object Features {
 
+  /** The feature set a COMPREDICT model sees. */
+  sealed trait Kind
+  /** Size features plus the per-datatype weighted entropies (the paper's). */
+  case object Entropy extends Kind
+  /** The paper's naive size-only baseline. */
+  case object Size extends Kind
+
   /** Canonical datatype buckets so feature vectors align across samples. */
   val dtypeUniverse: Vector[String] = Vector("int", "float", "object", "date")
 
@@ -68,19 +75,6 @@ object Features {
         .first()
       d -> (if (h.isNullAt(0)) 0.0 else h.getDouble(0))
     }
-  }
-
-  /** Bucketed weighted entropy (the sorting-sensitivity variant): entropy of
-    * each successive `buckets`-th of the rows, per datatype, averaged.
-    */
-  def bucketedWeightedEntropyLocal(rows: Seq[Row], schema: StructType,
-                                   buckets: Int = 5): Map[String, Double] = {
-    if (rows.isEmpty) return dtypeUniverse.map(_ -> 0.0).toMap
-    val size = math.max(1, math.ceil(rows.size.toDouble / buckets).toInt)
-    val per  = rows.grouped(size).map(chunk => weightedEntropyLocal(chunk, schema)).toVector
-    dtypeUniverse.map { d =>
-      d -> per.map(_.getOrElse(d, 0.0)).sum / per.size
-    }.toMap
   }
 
   /** Assembles the model feature vector for one sample: raw serialized size,

@@ -74,10 +74,17 @@ final case class OptAssignInstance(
   * Strongly NP-hard in general (Theorem 1); this object provides
   *  - [[costOf]]: the eq. (1) objective contribution of one (partition, tier, codec)
   *  - [[greedyUnbounded]]: the optimal greedy for unbounded capacity (Theorem 3)
-  *  - [[solve]]: greedy + capacity-repair heuristic for the general case
-  *    (cross-checked against the exact [[IlpSolver]] in tests)
+  *  - [[solve]]: the one way to solve an instance. Instances of at most
+  *    `ExactMaxParts` (12) partitions get the exact branch-and-bound of the
+  *    eq. (1) ILP; larger ones, and small ones whose search runs out of
+  *    nodes, get the greedy + capacity repair.
   */
 object OptAssign {
+
+  /** A per-option objective: what `solve` minimizes for (instance,
+    * partition, tier, codec). [[costOf]] is eq. (1).
+    */
+  type Score = (OptAssignInstance, PartitionStat, Int, Int) => Double
 
   /** Eq. (1) objective contribution of assigning partition `p` to tier `l`
     * with codec `k`:
@@ -105,22 +112,16 @@ object OptAssign {
   def codecOk(p: PartitionStat, k: Int): Boolean =
     p.currentTier < 0 || p.currentCodec < 0 || k == p.currentCodec
 
-  /** All latency- and codec-feasible (tier, codec) options of a partition,
-    * cheapest first.
+  /** All latency- and codec-feasible (tier, codec) options of a partition
+    * with their score, lowest score first.
     */
-  def feasibleOptions(inst: OptAssignInstance, p: PartitionStat): IndexedSeq[(Int, Int, Double)] =
-    feasibleOptionsScored(inst, p, costOf(inst, _, _, _))
-
-  /** Like [[feasibleOptions]] but ordered by an arbitrary score — used by
-    * the latency-lexicographic SCOPe variants (HCompress-style rows).
-    */
-  def feasibleOptionsScored(inst: OptAssignInstance, p: PartitionStat,
-                            score: (PartitionStat, Int, Int) => Double): IndexedSeq[(Int, Int, Double)] =
+  def feasibleOptions(inst: OptAssignInstance, p: PartitionStat,
+                      score: Score = costOf): IndexedSeq[(Int, Int, Double)] =
     (for {
       l <- inst.tiers.indices
       k <- p.codecPerfs.indices
       if codecOk(p, k) && latencyOk(inst, p, l, k)
-    } yield (l, k, score(p, l, k))).sortBy(_._3)
+    } yield (l, k, score(inst, p, l, k))).sortBy(_._3)
 
   /** Theorem 3: with no capacity constraints, independently picking the
     * cheapest feasible (tier, codec) per partition is optimal. O(N*L*K).
@@ -136,26 +137,87 @@ object OptAssign {
   /** Stored (post-compression) GB of partition `p` under codec `k`. */
   def storedGB(p: PartitionStat, k: Int): Double = p.sizeGB / p.codecPerfs(k).ratio
 
+  /** Instances with at most this many partitions are solved exactly. */
+  private[core] val ExactMaxParts: Int = 12
+
+  /** Nodes the exact search may visit before [[solve]] falls back to the repair. */
+  private[core] val ExactNodeBudget: Long = 20_000_000L
+
+  /** Minimizes the sum of `score` over a plan that meets every constraint of
+    * `inst`, sorted by id; None if the instance is infeasible. Exact for
+    * N <= `ExactMaxParts` unless the search runs out of nodes, in which
+    * case (and for larger N) the answer is the greedy + capacity repair's.
+    */
+  def solve(inst: OptAssignInstance, score: Score = costOf): Option[Vector[Assignment]] =
+    if (inst.parts.size > ExactMaxParts) greedyRepair(inst, score)
+    else exactIlp(inst, score, ExactNodeBudget) match {
+      case Optimum(plan)   => plan
+      case BudgetExhausted => greedyRepair(inst, score)
+    }
+
+  /** What the exact search found: the optimum (None if the instance is
+    * infeasible), or nothing, because it visited more nodes than its budget.
+    */
+  private[core] sealed trait ExactResult
+  private[core] final case class Optimum(plan: Option[Vector[Assignment]]) extends ExactResult
+  private[core] case object BudgetExhausted extends ExactResult
+
+  /** Exact branch-and-bound on the eq. (1) ILP under `score`: partitions are
+    * branched in decreasing-size order, options are explored best-first,
+    * and nodes are pruned with the bound (score so far + sum over remaining
+    * partitions of their best feasible option, capacities ignored).
+    */
+  private[core] def exactIlp(inst: OptAssignInstance, score: Score, nodeBudget: Long): ExactResult = {
+    val order = inst.parts.sortBy(p => -p.sizeGB)
+    val opts  = order.map(p => feasibleOptions(inst, p, score))
+    if (opts.exists(_.isEmpty)) return Optimum(None)
+
+    val n = order.length
+    // minTail(i) = sum of best options for partitions i..n-1 (capacity-relaxed bound)
+    val minTail = new Array[Double](n + 1)
+    for (i <- (n - 1) to 0 by -1) minTail(i) = minTail(i + 1) + opts(i).head._3
+
+    var best: Option[Array[(Int, Int)]] = None
+    var bestScore = Double.PositiveInfinity
+    val cur       = new Array[(Int, Int)](n)
+    val capLeft   = inst.capacityGB.toArray
+    var nodes     = 0L
+
+    def rec(i: Int, acc: Double): Unit = {
+      nodes += 1
+      if (nodes > nodeBudget || acc + minTail(i) >= bestScore) return
+      if (i == n) { bestScore = acc; best = Some(cur.clone()); return }
+      val p = order(i)
+      for ((l, k, c) <- opts(i)) {
+        val s = storedGB(p, k)
+        if (s <= capLeft(l) + 1e-9 && acc + c + minTail(i + 1) < bestScore) {
+          capLeft(l) -= s
+          cur(i) = (l, k)
+          rec(i + 1, acc + c)
+          capLeft(l) += s
+        }
+      }
+    }
+
+    rec(0, 0.0)
+    if (nodes > nodeBudget) BudgetExhausted
+    else Optimum(best.map { sol =>
+      order.indices.map(i => Assignment(order(i).id, sol(i)._1, sol(i)._2)).toVector.sortBy(_.id)
+    })
+  }
+
   /** General-case heuristic: start from the unbounded greedy, then while a
     * tier is over its capacity, evict from it the partition whose move to
-    * its next-cheapest feasible tier with spare capacity costs the least
-    * extra per GB freed. Exact on all instances where capacity is slack
-    * (then it IS the greedy), and cross-checked against branch-and-bound in
-    * tests elsewhere.
+    * its next-best feasible tier with spare capacity costs the least extra
+    * `score` per GB freed (capacity repair frees stored GB; the score only
+    * drives preference order). It IS the greedy wherever capacity is slack.
     *
     * Cost: O(N·L·K·log(L·K)) once to sort every partition's options, then
     * O(N + N_l·L·K) per eviction, where N_l is the number of partitions in
     * the overfull tier.
     */
-  def solve(inst: OptAssignInstance): Option[Vector[Assignment]] =
-    solveScored(inst, costOf(inst, _, _, _))
-
-  /** [[solve]] with a custom per-option score (capacity repair still frees
-    * stored GB; the score only drives preference order).
-    */
-  def solveScored(inst: OptAssignInstance,
-                  score: (PartitionStat, Int, Int) => Double): Option[Vector[Assignment]] = {
-    val options = inst.parts.map(p => feasibleOptionsScored(inst, p, score))
+  private[core] def greedyRepair(inst: OptAssignInstance, score: Score): Option[Vector[Assignment]] = {
+    val options = inst.parts.map(p => feasibleOptions(inst, p, score))
     if (options.exists(_.isEmpty)) return None
     // Partitions are visited in the iteration order of a mutable map keyed by
     // id (the last partition of an id wins). Eviction ties go to the first
@@ -185,7 +247,7 @@ object OptAssign {
           var best = -1; var bestTier = -1; var bestCodec = -1; var bestRatio = 0.0
           for (i <- slots.indices if tier(i) == l) {
             val p     = parts(i)
-            val cur   = score(p, l, codec(i))
+            val cur   = score(inst, p, l, codec(i))
             val freed = math.max(storedGB(p, codec(i)), 1e-12)
             for ((l2, k2, c2) <- opts(i))
               if (l2 != l && used(l2) + storedGB(p, k2) <= caps(l2) + 1e-9) {

@@ -104,14 +104,17 @@ object Scope {
   /** Whole-table partitions for the non-partitioned policy rows: each table
     * is one partition whose rho is the sum of its families' frequencies
     * (every query scans the whole table when there is no partitioning).
+    * Ids follow the largest initial id, in table order.
     */
-  def wholeTableParts(lake: DataLake, initial: Seq[Part]): Vector[Part] =
+  def wholeTableParts(lake: DataLake, initial: Seq[Part]): Vector[Part] = {
+    val firstId = initial.iterator.map(_.id + 1).maxOption.getOrElse(0)
     lake.tables.zipWithIndex.map { case (t, i) =>
       val fileRange = t.fileOffset until (t.fileOffset + t.nFiles)
       val rho = initial.filter(p => p.files.head >= t.fileOffset &&
         p.files.head < t.fileOffset + t.nFiles).map(_.rho).sum
-      Part.initial(100000 + i, fileRange, rho)
+      Part.initial(firstId + i, fileRange, rho)
     }
+  }
 
   /** Ground-truth compression performance of a partition: measured with the
     * real codecs on a row sample in the given layout (identity prepended).
@@ -231,28 +234,18 @@ object Scope {
       case None     => Vector.fill(v.tiers.length)(Double.PositiveInfinity)
     }
     val inst = OptAssignInstance(stats, v.tiers, caps, v.weights, months)
-    val assignment =
-      if (v.latencyLex) OptAssign.solveScored(inst, latencyLexScore(inst))
-      else if (stats.length <= 12)
-        // Whole-table instances are tiny: solve the ILP exactly (the greedy
-        // repair can evict the wrong table when only a small deficit needs
-        // freeing).
-        try IlpSolver.solveExact(inst)
-        catch { case _: IllegalStateException => OptAssign.solve(inst) }
-      else OptAssign.solve(inst)
-    val chosen = assignment.getOrElse(
-      throw new IllegalStateException(s"variant ${v.key} infeasible"))
+    val chosen = OptAssign.solve(inst, if (v.latencyLex) latencyLexScore else OptAssign.costOf)
+      .getOrElse(throw new IllegalStateException(s"variant ${v.key} infeasible"))
     report(v, inst, checkedPlan(v, inst, chosen), months)
   }
 
   /** HCompress adaptation: minimize expected (access-weighted) latency
     * = rho * (decompression time + TTFB), with cost as the tiebreak.
     */
-  def latencyLexScore(inst: OptAssignInstance): (PartitionStat, Int, Int) => Double =
-    (p, l, k) =>
-      math.max(p.accesses, 1.0) *
-        (p.codecPerfs(k).decompSecPerGB * p.sizeGB + inst.tiers(l).ttfbSec) * 1e6 +
-        OptAssign.costOf(inst, p, l, k)
+  def latencyLexScore(inst: OptAssignInstance, p: PartitionStat, l: Int, k: Int): Double =
+    math.max(p.accesses, 1.0) *
+      (p.codecPerfs(k).decompSecPerGB * p.sizeGB + inst.tiers(l).ttfbSec) * 1e6 +
+      OptAssign.costOf(inst, p, l, k)
 
   /** Returns `chosen` if it satisfies every OPTASSIGN constraint of `inst`;
     * otherwise throws rather than report an infeasible plan for `v`.

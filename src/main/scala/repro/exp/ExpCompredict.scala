@@ -83,7 +83,7 @@ object ExpCompredict {
     val (qTest, qTrain) = shuffledQ.splitAt(nTest)
     val rf = ComPredict.randomForest()
 
-    def eval(trainSrc: Seq[Sampling.Sample], kind: String,
+    def eval(trainSrc: Seq[Sampling.Sample], kind: Features.Kind,
              target: Example => Double): RegMetrics = {
       val train = ComPredict.buildExamples(trainSrc, Layouts.RowCsv, Codecs.Gzip, kind)
       val test  = ComPredict.buildExamples(qTest, Layouts.RowCsv, Codecs.Gzip, kind)
@@ -92,16 +92,16 @@ object ExpCompredict {
 
     Vector(
       TableVRow("Compression Ratio", "Random Samples", "Weighted Entropy",
-        eval(rSamples, "entropy", _.ratio)),
-      TableVRow("Compression Ratio", "Queries", "Size", eval(qTrain, "size", _.ratio)),
+        eval(rSamples, Features.Entropy, _.ratio)),
+      TableVRow("Compression Ratio", "Queries", "Size", eval(qTrain, Features.Size, _.ratio)),
       TableVRow("Compression Ratio", "Queries", "Weighted Entropy",
-        eval(qTrain, "entropy", _.ratio)),
+        eval(qTrain, Features.Entropy, _.ratio)),
       TableVRow("Decompression Speed", "Random Samples", "Weighted Entropy",
-        eval(rSamples, "entropy", _.decompSecPerGB)),
+        eval(rSamples, Features.Entropy, _.decompSecPerGB)),
       TableVRow("Decompression Speed", "Queries", "Size",
-        eval(qTrain, "size", _.decompSecPerGB)),
+        eval(qTrain, Features.Size, _.decompSecPerGB)),
       TableVRow("Decompression Speed", "Queries", "Weighted Entropy",
-        eval(qTrain, "entropy", _.decompSecPerGB)),
+        eval(qTrain, Features.Entropy, _.decompSecPerGB)),
     )
   }
 

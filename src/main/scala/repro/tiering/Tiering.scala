@@ -79,10 +79,14 @@ object Tiering {
     (base - got) / base * 100.0
   }
 
-  /** OPTASSIGN's tier choice per dataset (greedy is optimal here — no
-    * capacity bounds, Theorem 3).
+  /** OPTASSIGN's tier choice per dataset (with no capacity bounds this is
+    * Theorem 3's greedy), checked against every OPTASSIGN constraint.
     */
-  def optAssignTiers(inst: OptAssignInstance): Vector[Assignment] =
-    OptAssign.greedyUnbounded(inst).getOrElse(
+  def optAssignTiers(inst: OptAssignInstance): Vector[Assignment] = {
+    val plan = OptAssign.solve(inst).getOrElse(
       throw new IllegalStateException("tiering instance must be feasible"))
+    if (!OptAssign.feasible(inst, plan))
+      throw new IllegalStateException("tiering plan breaks a coverage, capacity, latency or codec constraint")
+    plan
+  }
 }

@@ -64,8 +64,8 @@ class ComPredictSpec extends AnyFunSuite with SparkSpec {
     import spark.implicits._
     val df = (1 to 50).map(i => (i, s"s$i")).toDF("a", "b")
     val s = Sampling.Sample("t", df.collect().toVector, df.schema)
-    val sized = ComPredict.buildExamples(Seq(s), Layouts.RowCsv, Codecs.Lz4, "size")
-    val ent   = ComPredict.buildExamples(Seq(s), Layouts.RowCsv, Codecs.Lz4, "entropy")
+    val sized = ComPredict.buildExamples(Seq(s), Layouts.RowCsv, Codecs.Lz4, Features.Size)
+    val ent   = ComPredict.buildExamples(Seq(s), Layouts.RowCsv, Codecs.Lz4, Features.Entropy)
     assert(sized.head.features.length == 2)
     assert(ent.head.features.length == 2 + Features.dtypeUniverse.length)
   }

@@ -69,14 +69,6 @@ class FeaturesSpec extends AnyFunSuite with SparkSpec {
     Oracle.assertEquivalent(counts, "SELECT v, count(*) AS cnt FROM t GROUP BY v", "t" -> df)
   }
 
-  test("bucketed entropy of sorted vs shuffled data differs (sorting signal)") {
-    val sorted   = (1 to 200).map(i => Row(1L, s"g${i / 50}", 0.0)).toVector // 4 runs of 50
-    val shuffled = new scala.util.Random(60).shuffle(sorted)
-    val hS = Features.bucketedWeightedEntropyLocal(sorted, schema, buckets = 4)("object")
-    val hU = Features.bucketedWeightedEntropyLocal(shuffled, schema, buckets = 4)("object")
-    assert(hS < hU, "per-bucket entropy of sorted runs must be lower")
-  }
-
   test("featureVector aligns entropies to the fixed dtype universe") {
     val v = Features.featureVector(1000L, 10L, Map("object" -> 2.5))
     assert(v.length == 2 + Features.dtypeUniverse.length)

@@ -24,7 +24,7 @@ class BipartiteAssignSpec extends AnyFunSuite {
       val caps = Vector(rng.nextInt(n + 1), rng.nextInt(n + 1), -1)
       val inst = equalSizedInstance(rng, n, 0.5 + rng.nextDouble() * 3, caps)
       val m = BipartiteAssign.solve(inst)
-      val e = IlpSolver.solveExact(inst)
+      val e = OptGen.exact(inst)
       assert(m.isDefined == e.isDefined)
       for (ms <- m; es <- e) {
         assert(OptAssign.feasible(inst, ms))

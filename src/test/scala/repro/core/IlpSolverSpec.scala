@@ -3,10 +3,15 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 
+/** The exact branch-and-bound of the eq. (1) ILP ([[OptAssign.exactIlp]]),
+  * the path [[OptAssign.solve]] takes for small instances.
+  */
 class IlpSolverSpec extends AnyFunSuite {
 
-  /** Exhaustive enumeration over all (tier, codec)^N assignments. */
-  private def exhaustive(inst: OptAssignInstance): Option[Double] = {
+  /** Exhaustive enumeration over all (tier, codec)^N assignments: the least
+    * total `score` of a feasible one.
+    */
+  private def exhaustive(inst: OptAssignInstance, score: OptAssign.Score): Option[Double] = {
     val options = inst.parts.map { p =>
       for { l <- inst.tiers.indices; k <- p.codecPerfs.indices } yield (l, k)
     }
@@ -14,7 +19,8 @@ class IlpSolverSpec extends AnyFunSuite {
     def rec(i: Int, acc: Vector[Assignment]): Unit = {
       if (i == inst.parts.length) {
         if (OptAssign.feasible(inst, acc)) {
-          val c = OptAssign.totalCost(inst, acc)
+          val byId = inst.parts.map(p => p.id -> p).toMap
+          val c = acc.map(a => score(inst, byId(a.id), a.tier, a.codec)).sum
           if (best.forall(_ > c)) best = Some(c)
         }
       } else options(i).foreach { case (l, k) =>
@@ -30,12 +36,19 @@ class IlpSolverSpec extends AnyFunSuite {
     for (_ <- 1 to 40) {
       val inst = OptGen.instance(rng, n = 1 + rng.nextInt(5), k = 1 + rng.nextInt(3),
         bounded = rng.nextBoolean())
-      val bb = IlpSolver.solveExact(inst)
-      val ex = exhaustive(inst)
-      assert(bb.isDefined == ex.isDefined)
-      for (sol <- bb; c <- ex) {
-        assert(OptAssign.feasible(inst, sol))
-        assert(math.abs(OptAssign.totalCost(inst, sol) - c) < 1e-6)
+      val byId = inst.parts.map(p => p.id -> p).toMap
+      // Latency-lexicographic scores reach ~1e10, so their tolerance is relative.
+      for ((name, score, tol) <- Seq[(String, OptAssign.Score, Double => Double)](
+             ("cost", OptAssign.costOf, _ => 1e-6),
+             ("latency-lex", Scope.latencyLexScore, best => 1e-12 * math.abs(best)))) {
+        val bb = OptGen.exact(inst, score)
+        val ex = exhaustive(inst, score)
+        assert(bb.isDefined == ex.isDefined, name)
+        for (sol <- bb; best <- ex) {
+          assert(OptAssign.feasible(inst, sol), name)
+          val got = sol.map(a => score(inst, byId(a.id), a.tier, a.codec)).sum
+          assert(math.abs(got - best) < tol(best), name)
+        }
       }
     }
   }
@@ -44,14 +57,14 @@ class IlpSolverSpec extends AnyFunSuite {
     val p = PartitionStat(0, 1.0, 1, latencySlaSec = 1e-9, -1, -1, Vector(CodecPerf.identity))
     val inst = OptAssignInstance(Vector(p), CostModel.azure3,
       Vector.fill(3)(Double.PositiveInfinity), CostWeights(), 1.0)
-    assert(IlpSolver.solveExact(inst).isEmpty)
+    assert(OptGen.exact(inst).isEmpty)
   }
 
   test("detects capacity infeasibility") {
     val p = PartitionStat(0, 10.0, 1, 1e9, -1, -1, Vector(CodecPerf.identity))
     val inst = OptAssignInstance(Vector(p), CostModel.azure3,
       Vector(1.0, 1.0, 1.0), CostWeights(), 1.0)
-    assert(IlpSolver.solveExact(inst).isEmpty)
+    assert(OptGen.exact(inst).isEmpty)
   }
 
   test("capacity can force a split across tiers") {
@@ -59,7 +72,7 @@ class IlpSolverSpec extends AnyFunSuite {
       PartitionStat(i, 1.0, 1000, 1e9, -1, -1, Vector(CodecPerf.identity)))
     val inst = OptAssignInstance(parts, CostModel.azure3,
       Vector(1.0, 1.0, Double.PositiveInfinity), CostWeights(), 1.0)
-    val sol = IlpSolver.solveExact(inst).get
+    val sol = OptGen.exact(inst).get
     assert(sol.map(_.tier).sorted == Vector(0, 1, 2))
   }
 
@@ -68,7 +81,7 @@ class IlpSolverSpec extends AnyFunSuite {
       Vector(CodecPerf.identity, CodecPerf(4.0, 0.1)))
     val inst = OptAssignInstance(Vector(p), CostModel.azure3,
       Vector.fill(3)(Double.PositiveInfinity), CostWeights(), 1.0)
-    val sol = IlpSolver.solveExact(inst).get
+    val sol = OptGen.exact(inst).get
     assert(sol.head.codec == 1)
   }
 
@@ -78,15 +91,14 @@ class IlpSolverSpec extends AnyFunSuite {
       Vector(CodecPerf.identity, CodecPerf(10.0, 0.0)))
     val inst = OptAssignInstance(Vector(p), CostModel.azure3,
       Vector.fill(3)(Double.PositiveInfinity), CostWeights(), 6.0)
-    assert(IlpSolver.solveExact(inst).get.head.codec == 1)
+    assert(OptGen.exact(inst).get.head.codec == 1)
   }
 
-  test("node limit throws rather than returning a wrong answer") {
+  test("running out of nodes is reported as such, not as an answer") {
     val rng  = new Random(11)
     val inst = OptGen.instance(rng, n = 12, k = 3, bounded = true)
-    assertThrows[IllegalStateException] {
-      IlpSolver.solveExact(inst, nodeLimit = 3)
-    }
+    assert(OptAssign.exactIlp(inst, OptAssign.costOf, nodeBudget = 3) == OptAssign.BudgetExhausted)
+    assert(OptAssign.exactIlp(inst, OptAssign.costOf, OptAssign.ExactNodeBudget) != OptAssign.BudgetExhausted)
   }
 
   test("strong NP-hardness witness: 3-PARTITION-style instance solved exactly") {
@@ -97,7 +109,7 @@ class IlpSolverSpec extends AnyFunSuite {
       PartitionStat(i, s, 0, 1e9, -1, -1, Vector(CodecPerf.identity)) }
     val twoTiers = Vector(CostModel.Hot, CostModel.Hot.copy(name = "Hot2"))
     val inst = OptAssignInstance(parts, twoTiers, Vector(12.0, 12.0), CostWeights(), 1.0)
-    val sol = IlpSolver.solveExact(inst).get
+    val sol = OptGen.exact(inst).get
     val load0 = sol.filter(_.tier == 0).map(a => sizes(a.id)).sum
     assert(math.abs(load0 - 12.0) < 1e-9 || math.abs(load0 - 12.0) >= 0) // packed feasibly
     assert(OptAssign.feasible(inst, sol))

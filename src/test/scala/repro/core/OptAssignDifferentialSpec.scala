@@ -3,16 +3,18 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 
-/** [[OptAssign.solveScored]] against the first-written repair kept in
+/** [[OptAssign.greedyRepair]] against the first-written repair kept in
   * [[OptAssignReference]]: the assignments (ids, tiers, codecs) and the
-  * infeasible verdicts must be exactly equal, tie-breaks included.
+  * infeasible verdicts must be exactly equal, tie-breaks included. The
+  * repair is called directly, since [[OptAssign.solve]] sends small
+  * instances to the exact search.
   */
 class OptAssignDifferentialSpec extends AnyFunSuite {
 
   private def assertSame(inst: OptAssignInstance, clue: String): Unit = {
-    assert(OptAssign.solve(inst) == OptAssignReference.solve(inst), clue)
-    val lex = Scope.latencyLexScore(inst)
-    assert(OptAssign.solveScored(inst, lex) == OptAssignReference.solveScored(inst, lex),
+    assert(OptAssign.greedyRepair(inst, OptAssign.costOf) == OptAssignReference.solve(inst), clue)
+    assert(OptAssign.greedyRepair(inst, Scope.latencyLexScore) ==
+      OptAssignReference.solveScored(inst, Scope.latencyLexScore(inst, _, _, _)),
       s"$clue (latency-lexicographic score)")
   }
 

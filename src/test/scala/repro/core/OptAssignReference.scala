@@ -3,7 +3,7 @@ package repro.core
 /** The capacity-repair heuristic as first written: options re-sorted for
   * every candidate and per-tier usage re-summed over all N assignments
   * inside the candidate loop, O(N_l·L·K·N) per eviction. Kept as the
-  * differential-test oracle for [[OptAssign.solveScored]], which must return
+  * differential-test oracle for [[OptAssign.greedyRepair]], which must return
   * exactly the same assignments.
   */
 object OptAssignReference {
@@ -13,7 +13,7 @@ object OptAssignReference {
 
   def solveScored(inst: OptAssignInstance,
                   score: (PartitionStat, Int, Int) => Double): Option[Vector[Assignment]] = {
-    def options(p: PartitionStat) = OptAssign.feasibleOptionsScored(inst, p, score)
+    def options(p: PartitionStat) = OptAssign.feasibleOptions(inst, p, (_, q, l, k) => score(q, l, k))
     val base0 = inst.parts.map(p => options(p).headOption.map { case (l, k, _) => Assignment(p.id, l, k) })
     if (base0.exists(_.isEmpty)) return None
     val base = base0.map(_.get)

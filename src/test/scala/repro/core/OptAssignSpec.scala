@@ -3,7 +3,9 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 
-/** Random-instance generators shared by the optimizer specs. */
+/** Random-instance generators and the exact-search oracle shared by the
+  * optimizer specs.
+  */
 object OptGen {
   def perfs(rng: Random, k: Int): Vector[CodecPerf] =
     CodecPerf.identity +: Vector.fill(k - 1)(
@@ -31,6 +33,16 @@ object OptGen {
       else Vector.fill(tiers.length)(Double.PositiveInfinity)
     OptAssignInstance(parts, tiers, caps, CostWeights(), months = 5.5)
   }
+
+  /** The exact search's optimum under `score`; fails the test if the search
+    * runs out of nodes.
+    */
+  def exact(inst: OptAssignInstance,
+            score: OptAssign.Score = OptAssign.costOf): Option[Vector[Assignment]] =
+    OptAssign.exactIlp(inst, score, OptAssign.ExactNodeBudget) match {
+      case OptAssign.Optimum(plan)   => plan
+      case OptAssign.BudgetExhausted => throw new AssertionError("exact search ran out of nodes")
+    }
 }
 
 class OptAssignSpec extends AnyFunSuite {
@@ -116,7 +128,7 @@ class OptAssignSpec extends AnyFunSuite {
     for (_ <- 1 to 60) {
       val inst = OptGen.instance(rng, n = 1 + rng.nextInt(8), k = 1 + rng.nextInt(3), bounded = false)
       val g = OptAssign.greedyUnbounded(inst)
-      val e = IlpSolver.solveExact(inst)
+      val e = OptGen.exact(inst)
       assert(g.isDefined == e.isDefined)
       for (gs <- g; es <- e) {
         assert(OptAssign.feasible(inst, gs))
@@ -137,13 +149,13 @@ class OptAssignSpec extends AnyFunSuite {
     }
   }
 
-  test("solve respects binding capacities and stays near the exact optimum") {
+  test("greedyRepair respects binding capacities and stays near the exact optimum") {
     val rng = new Random(3)
     var solved = 0
     for (_ <- 1 to 40) {
       val inst = OptGen.instance(rng, n = 7, k = 2, bounded = true)
-      val h = OptAssign.solve(inst)
-      val e = IlpSolver.solveExact(inst)
+      val h = OptAssign.greedyRepair(inst, OptAssign.costOf)
+      val e = OptGen.exact(inst)
       for (hs <- h) {
         assert(OptAssign.feasible(inst, hs))
         val exact = e.getOrElse(fail("heuristic found a solution the exact solver missed"))
@@ -155,6 +167,23 @@ class OptAssignSpec extends AnyFunSuite {
       }
     }
     assert(solved > 20, "heuristic should solve most random capacity instances")
+  }
+
+  test("solve takes the exact search up to 12 partitions and the repair above") {
+    val rng = new Random(5)
+    // The first seeded 12-partition instance on which the repair misses the optimum.
+    val small = Iterator.continually(OptGen.instance(rng, n = 12, k = 1, bounded = true))
+      .take(200).find { inst =>
+        (OptAssign.greedyRepair(inst, OptAssign.costOf), OptGen.exact(inst)) match {
+          case (Some(h), Some(e)) => OptAssign.totalCost(inst, h) > OptAssign.totalCost(inst, e) + 1e-6
+          case _                  => false
+        }
+      }.getOrElse(fail("no instance where the repair is strictly worse"))
+    assert(OptAssign.solve(small) == OptGen.exact(small))
+    for (n <- Seq(13, 40)) {
+      val large = OptGen.instance(rng, n, k = 2, bounded = true)
+      assert(OptAssign.solve(large) == OptAssign.greedyRepair(large, OptAssign.costOf), s"n=$n")
+    }
   }
 
   test("feasible() rejects over-capacity, missing coverage and SLA violations") {
@@ -172,9 +201,9 @@ class OptAssignSpec extends AnyFunSuite {
     assert(math.abs(OptAssign.totalCost(inst, a) - expected) < 1e-9)
   }
 
-  test("solveScored with a latency-lexicographic score prefers the low-latency tier") {
+  test("solve with a latency-lexicographic score prefers the low-latency tier") {
     val inst = simpleInst(Vector(onePart))
-    val sol = OptAssign.solveScored(inst, (p, l, k) =>
+    val sol = OptAssign.solve(inst, (inst, p, l, k) =>
       (p.codecPerfs(k).decompSecPerGB * p.sizeGB + inst.tiers(l).ttfbSec) * 1e9 +
         OptAssign.costOf(inst, p, l, k)).get
     assert(sol.head.tier == 0 && sol.head.codec == 0) // Premium, no decompression

@@ -72,6 +72,8 @@ class ScopeSpec extends AnyFunSuite with SparkSpec {
     assert(whole.length == 2)
     assert(math.abs(whole.map(_.rho).sum - parts.map(_.rho).sum) < 1e-9)
     assert(whole.head.files.size == 6 && whole(1).files.size == 4)
+    assert(whole.map(_.id).toSet.intersect(parts.map(_.id).toSet).isEmpty,
+      "whole-table ids must be disjoint from the initial ids")
   }
 
   test("groundTruthPerf: identity first, compressing codecs achieve ratio > 1") {

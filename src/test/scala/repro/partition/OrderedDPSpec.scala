@@ -52,7 +52,7 @@ class OrderedDPSpec extends AnyFunSuite {
       val thresh = (noMergeCost + allMergedCost) / 2
       val eps = 1.0 / n
       val dp = OrderedDP.solve(parts, cat, thresh, eps)
-      val bf = OrderedDP.bruteForce(parts, cat, thresh)
+      val bf = OrderedDPOracle.bruteForce(parts, cat, thresh)
       for (d <- dp; b <- bf) {
         assert(d.spaceRows <= b.spaceRows,
           s"DP space ${d.spaceRows} must be <= exact ${b.spaceRows} (cost axis is relaxed)")
@@ -99,7 +99,7 @@ class OrderedDPSpec extends AnyFunSuite {
   test("brute force rejects an impossible threshold") {
     val cat = FileCatalog(Vector(10L), Vector(100L))
     val p = Part.initial(0, Seq(0), 5)
-    assert(OrderedDP.bruteForce(Vector(p), cat, costThresh = 1.0).isEmpty)
+    assert(OrderedDPOracle.bruteForce(Vector(p), cat, costThresh = 1.0).isEmpty)
   }
 
   test("eps must be positive") {

@@ -99,6 +99,18 @@ class TieringSpec extends AnyFunSuite {
     assert(bHCA >= bHC - 1e-9)
   }
 
+  test("optAssignTiers returns only feasible plans, even with a binding Hot capacity") {
+    val known = Tiering.knownAccesses(acc, t0, 2)
+    val inst  = Tiering.instance(acc, CostModel.hotCool, 0, 2, known)
+    val sizeOf = inst.parts.map(p => p.id -> p.sizeGB).toMap
+    val hotGB  = Tiering.optAssignTiers(inst).filter(_.tier == 0).map(a => sizeOf(a.id)).sum
+    assert(hotGB > 0)
+    val capped = inst.copy(capacityGB = Vector(hotGB / 2, Double.PositiveInfinity))
+    assert(OptAssign.feasible(capped, Tiering.optAssignTiers(capped)))
+    val noTierFast = inst.copy(parts = inst.parts.map(_.copy(latencySlaSec = 1e-6)))
+    intercept[IllegalStateException](Tiering.optAssignTiers(noTierFast))
+  }
+
   test("actualCost bills the assignment under actual, not predicted, accesses") {
     val inst = Tiering.instance(acc, CostModel.hotCool, 0, 2, Map.empty) // predicted: nothing
     val assignment = Tiering.allHotAssignment(inst, 0)
