@@ -6,7 +6,7 @@ import repro.exp._
 /** Shared session bootstrap for the spark-submit entrypoints. */
 object JobSession {
   def get(name: String): SparkSession =
-    SparkSession.builder
+    SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
       .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))

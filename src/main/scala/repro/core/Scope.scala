@@ -1,11 +1,14 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.expressions.Window
+import java.util.concurrent.Executors
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types.StructType
+import org.apache.spark.sql.types.{IntegerType, StructType}
 import repro.compress._
 import repro.partition._
+import scala.concurrent.{Await, ExecutionContext, Future}
+import scala.concurrent.duration.Duration
+import scala.util.{Failure, Try}
 
 /** SCOPe (Section VII): the unified pipeline
   *   query logs -> initial partitions -> G-PART merge -> COMPREDICT (or
@@ -15,8 +18,13 @@ import repro.partition._
   */
 object Scope {
 
-  /** One lake table to be range-split into files on `sortCol`. */
-  final case class TableSpec(name: String, df: DataFrame, sortCol: String, nFiles: Int)
+  /** One lake table to be range-split into `nFiles` files on `sortCol`. */
+  final case class TableSpec(name: String, df: DataFrame, sortCol: String, nFiles: Int) {
+    require(nFiles >= 1, s"table $name: nFiles must be at least 1, got $nFiles")
+    require(df.columns.contains(sortCol),
+      s"table $name: sort column $sortCol is not one of ${df.columns.mkString(", ")}")
+    require(!df.columns.contains("file_id"), s"table $name already has a file_id column")
+  }
 
   /** A table after file splitting: `df` carries a global `file_id` column. */
   final case class LakeTable(name: String, df: DataFrame, schema: StructType,
@@ -32,51 +40,115 @@ object Scope {
         .getOrElse(throw new IllegalArgumentException(s"no table owns file $fileId"))
 
     /** Collects up to `cap` rows of a partition (all of whose files belong
-      * to one table, since query families never span tables).
+      * to one table, since query families never span tables). The sample is
+      * the partition's files in ascending id order, each file's rows in rank
+      * order (sort column, then input order), concatenated and cut at `cap`.
       */
     def sampleRows(part: Part, cap: Int): (IndexedSeq[Row], StructType) = {
       val t = tableOfFile(part.files.head)
-      val rows = t.df
-        .filter(col("file_id").isin(part.files.toSeq.map(Integer.valueOf): _*))
-        .drop("file_id")
-        .limit(cap)
-        .collect()
-        .toIndexedSeq
-      (rows, StructType(t.schema.filterNot(_.name == "file_id")))
+      (sampleParts(Seq(part), cap).head, StructType(t.schema.filterNot(_.name == "file_id")))
     }
+
+    /** The `sampleRows` samples of many partitions, from one Spark job. Only
+      * the files a sample can reach are read: a partition's files in
+      * ascending order until the catalog rows before a file reach `cap`.
+      */
+    def sampleParts(parts: Seq[Part], cap: Int): Vector[IndexedSeq[Row]] = {
+      val reached = parts.flatMap { p =>
+        val fs = p.files.toVector
+        fs.zip(fs.scanLeft(0L)(_ + catalog.rows(_))).takeWhile(_._2 < cap).map(_._1)
+      }.distinct
+      val heads = fileHeads(reached, cap)
+      parts.map(p => p.files.iterator.flatMap(f => heads.getOrElse(f, Vector.empty)).take(cap)
+        .toIndexedSeq).toVector
+    }
+
+    /** The first `cap` rows, in rank order, of each of `files`, by file id. */
+    private def fileHeads(files: Seq[Int], cap: Int): Map[Int, Vector[Row]] =
+      if (files.isEmpty) Map.empty
+      else {
+        val perTable = files.groupBy(tableOfFile).toVector.map { case (t, fs) =>
+          val fi = t.df.schema.fieldIndex("file_id")
+          t.df.filter(col("file_id").isin(fs.map(Integer.valueOf): _*)).rdd
+            .map(r => (r.getInt(fi), Row.fromSeq(r.toSeq.patch(fi, Nil, 1))))
+        }
+        // Rank order holds within and across the cached partitions, so the
+        // first `cap` rows seen per file are that file's first `cap` rows.
+        val kept = perTable.head.sparkContext.union(perTable).mapPartitions { it =>
+          val seen = scala.collection.mutable.HashMap.empty[Int, Int]
+          it.filter { case (f, _) =>
+            val n = seen.getOrElse(f, 0)
+            seen.update(f, n + 1)
+            n < cap
+          }
+        }.collect()
+        kept.groupBy(_._1).map { case (f, rs) => f -> rs.iterator.map(_._2).take(cap).toVector }
+      }
   }
 
   /** Splits every table into contiguous files along its sort column and
     * computes the global file catalog. Row byte sizes are the CSV
     * serialization lengths, aggregated per file in Catalyst (this is the
-    * distributed "cost model evaluated per partition" path).
+    * distributed "cost model evaluated per partition" path). Tables are
+    * built concurrently, one driver thread each.
+    *
+    * @throws IllegalArgumentException if a table has fewer rows than files
     */
   def buildLake(specs: Seq[TableSpec]): DataLake = {
-    var offset = 0
-    val tables = specs.map { s =>
-      val w = Window.orderBy(col(s.sortCol), monotonically_increasing_id())
-      val df = s.df
-        .withColumn("file_id", ((ntile(s.nFiles).over(w) - 1) + offset).cast("int"))
-        .cache()
-      df.count() // materialize before the window's single-partition shuffle is re-run
-      val t = LakeTable(s.name, df, df.schema, offset, s.nFiles)
-      offset += s.nFiles
-      t
-    }.toVector
+    val offsets = specs.scanLeft(0)(_ + _.nFiles)
+    val pool = Executors.newFixedThreadPool(math.max(1, specs.size))
+    val built = try {
+      implicit val ec: ExecutionContext = ExecutionContext.fromExecutorService(pool)
+      val futures = specs.zip(offsets).map { case (s, off) => Future(splitTable(s, off)) }
+      futures.map(f => Try(Await.result(f, Duration.Inf)))
+    } finally pool.shutdown()
+    built.collectFirst { case Failure(e) => e }.foreach { e =>
+      built.foreach(_.foreach(_._1.df.unpersist(blocking = true)))
+      throw e
+    }
+    val tables = built.map(_.get)
+    val rows  = new Array[Long](offsets.last)
+    val bytes = new Array[Long](offsets.last)
+    for ((_, stats) <- tables; (f, r, b) <- stats) { rows(f) = r; bytes(f) = b }
+    DataLake(tables.map(_._1).toVector, FileCatalog(rows.toVector, bytes.toVector))
+  }
 
-    val stats = tables.map { t =>
-      val dataCols = t.df.columns.filterNot(_ == "file_id").map(c => col(c).cast("string"))
-      t.df
+  /** One table of `buildLake`: a distributed sort on (sortCol, input
+    * position), global ranks from per-partition sizes, and `file_id` from
+    * rank with `ntile`'s bucket sizes (the first N % nFiles files hold
+    * one row more). The per-file (file_id, rows, bytes) aggregation is the
+    * job that fills the cache.
+    */
+  private def splitTable(s: TableSpec, fileOffset: Int): (LakeTable, Array[(Int, Long, Long)]) = {
+    val spark = s.df.sparkSession
+    val tiebreak = "__scope_input_position"
+    val sorted = s.df.withColumn(tiebreak, monotonically_increasing_id())
+      .sort(col(s.sortCol), col(tiebreak)).drop(tiebreak).rdd
+    val sizes = spark.sparkContext.runJob(sorted, (it: Iterator[Row]) => it.size.toLong)
+    val n = sizes.sum
+    if (n < s.nFiles)
+      throw new IllegalArgumentException(
+        s"table ${s.name} has $n rows, fewer than its ${s.nFiles} files")
+    val starts = sizes.scanLeft(0L)(_ + _)
+    val (small, extra) = (n / s.nFiles, n % s.nFiles)
+    val bigRows = extra * (small + 1)
+    val fileOf = (rank: Long) =>
+      fileOffset + (if (rank < bigRows) rank / (small + 1) else extra + (rank - bigRows) / small).toInt
+    val withFile = sorted.mapPartitionsWithIndex { (p, it) =>
+      var rank = starts(p)
+      it.map { r => val f = fileOf(rank); rank += 1; Row.fromSeq(r.toSeq :+ f) }
+    }
+    val schema = s.df.schema.add("file_id", IntegerType, nullable = false)
+    val df = spark.createDataFrame(withFile, schema).cache()
+    val dataCols = s.df.columns.toIndexedSeq.map(c => col(c).cast("string"))
+    val stats =
+      try df
         .groupBy(col("file_id"))
-        .agg(count(lit(1)) as "rows",
-             sum(length(concat_ws(",", dataCols: _*)) + 1) as "bytes")
+        .agg(count(lit(1)) as "rows", sum(length(concat_ws(",", dataCols: _*)) + 1) as "bytes")
         .collect()
         .map(r => (r.getInt(0), r.getLong(1), r.getLong(2)))
-    }
-    val all   = stats.flatten.sortBy(_._1)
-    val rows  = all.map(_._2).toVector
-    val bytes = all.map(_._3).toVector
-    DataLake(tables, FileCatalog(rows, bytes))
+      catch { case e: Throwable => df.unpersist(blocking = true); throw e }
+    (LakeTable(s.name, df, df.schema, fileOffset, s.nFiles), stats)
   }
 
   /** Generates Zipf/uniform query families per table (contiguous file
@@ -119,13 +191,14 @@ object Scope {
   /** Ground-truth compression performance of a partition: measured with the
     * real codecs on a row sample in the given layout (identity prepended).
     */
-  def groundTruthPerf(lake: DataLake, part: Part, layout: Layout, cap: Int): Vector[CodecPerf] = {
-    val (rows, _) = lake.sampleRows(part, cap)
+  def groundTruthPerf(lake: DataLake, part: Part, layout: Layout, cap: Int): Vector[CodecPerf] =
+    measuredPerf(lake.sampleRows(part, cap)._1, layout)
+
+  private def measuredPerf(rows: IndexedSeq[Row], layout: Layout): Vector[CodecPerf] =
     CodecPerf.identity +: Codecs.compressing.map { c =>
       val m = CompressionMeasure.measureRows(rows, layout, c)
       CodecPerf(m.ratio, m.decompSecPerGB)
     }
-  }
 
   // ---------------------------------------------------------------------
   // Policy variants (rows of Tables IX–XI)
@@ -208,17 +281,16 @@ object Scope {
     */
   def prepare(lake: DataLake, parts: Vector[Part], bytesScale: Double,
               compression: Boolean, sampleCap: Int): PreparedParts = {
-    val stats = parts.map { p =>
-      val rawGB = p.spanBytes(lake.catalog) * bytesScale / 1e9
-      val perfs =
-        if (compression) {
-          val measured = groundTruthPerf(lake, p, Layouts.Columnar, sampleCap)
-          // decompSecPerGB is measured per raw GB; absolute decompression time
-          // for the (scaled) partition follows inside OptAssign.costOf.
-          measured
-        } else Vector(CodecPerf.identity)
-      PartitionStat(p.id, rawGB, p.rho, latencySlaSec = 1e7,
-        currentTier = -1, currentCodec = -1, codecPerfs = perfs)
+    // One Spark job collects every sample; the codecs are then timed one
+    // partition at a time on the driver, away from concurrent Spark work.
+    // decompSecPerGB is measured per raw GB; absolute decompression time for
+    // the (scaled) partition follows inside OptAssign.costOf.
+    val perfs =
+      if (compression) lake.sampleParts(parts, sampleCap).map(measuredPerf(_, Layouts.Columnar))
+      else parts.map(_ => Vector(CodecPerf.identity))
+    val stats = parts.zip(perfs).map { case (p, perf) =>
+      PartitionStat(p.id, p.spanBytes(lake.catalog) * bytesScale / 1e9, p.rho, latencySlaSec = 1e7,
+        currentTier = -1, currentCodec = -1, codecPerfs = perf)
     }
     PreparedParts(parts, stats)
   }

@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.functions._
 import org.scalatest.funsuite.AnyFunSuite
-import repro.{Oracle, SparkSpec, SynthData}
+import repro.{Oracle, SparkSpec, SynthData, SynthDataExt}
 import repro.partition.GPartConfig
 
 class ScopeSpec extends AnyFunSuite with SparkSpec {
@@ -36,6 +36,38 @@ class ScopeSpec extends AnyFunSuite with SparkSpec {
     val localBytes = repro.compress.Layouts.RowCsv.serialize(rows).length.toLong
     val catBytes = (t.fileOffset until t.fileOffset + t.nFiles).map(lake.catalog.bytes).sum
     assert(catBytes == localBytes)
+  }
+
+  test("TableSpec rejects fewer than one file") {
+    val e = intercept[IllegalArgumentException](
+      Scope.TableSpec("region", SynthDataExt.region(spark), "r_regionkey", 0))
+    assert(e.getMessage.contains("region"))
+  }
+
+  test("TableSpec rejects a sort column the table does not have") {
+    val e = intercept[IllegalArgumentException](
+      Scope.TableSpec("region", SynthDataExt.region(spark), "n_nationkey", 1))
+    assert(e.getMessage.contains("n_nationkey"))
+  }
+
+  test("TableSpec rejects a table that already has a file_id column") {
+    val df = SynthDataExt.region(spark).withColumn("file_id", lit(0))
+    val e = intercept[IllegalArgumentException](Scope.TableSpec("region", df, "r_regionkey", 1))
+    assert(e.getMessage.contains("file_id"))
+  }
+
+  test("buildLake rejects a table with fewer rows than files, naming it") {
+    val e = intercept[IllegalArgumentException](Scope.buildLake(Seq(
+      Scope.TableSpec("nation", SynthDataExt.nation(spark), "n_nationkey", 2),
+      Scope.TableSpec("region", SynthDataExt.region(spark), "r_regionkey", 6))))
+    assert(e.getMessage.contains("region"))
+  }
+
+  test("buildLake rejects an empty table, naming it") {
+    val empty = SynthDataExt.region(spark).filter(col("r_regionkey") < 0)
+    val e = intercept[IllegalArgumentException](
+      Scope.buildLake(Seq(Scope.TableSpec("no_regions", empty, "r_regionkey", 1))))
+    assert(e.getMessage.contains("no_regions"))
   }
 
   test("tableOfFile maps global file ids to their owning table") {
