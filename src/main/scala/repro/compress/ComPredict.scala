@@ -3,7 +3,9 @@ package repro.compress
 import org.apache.spark.ml.feature.VectorAssembler
 import org.apache.spark.ml.linalg.Vectors
 import org.apache.spark.ml.regression.{GBTRegressor, LinearRegression, RandomForestRegressor}
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.types.StructType
+import repro.Concurrently
 import repro.core.CodecPerf
 
 /** COMPREDICT (Section V): learn compression ratio and decompression speed
@@ -73,6 +75,12 @@ object ComPredict {
     }
   }
 
+  // With fewer training examples than its 32 bins, MLlib logs "DecisionTree
+  // reducing maxBins from 32 to N (= number of training instances)" once per
+  // fit: a feature of N examples has at most N distinct values, so N bins
+  // already hold every split candidate and the forest is the same. A
+  // COMPREDICT training set is a few dozen samples, so `trainPredictor` logs
+  // it once for each of its six fits.
   def randomForest(seed: Long = 7): Model = new SparkModel("Random Forest",
     () => new RandomForestRegressor().setNumTrees(60).setMaxDepth(8).setSeed(seed))
   def gbt(seed: Long = 7): Model = new SparkModel("XGBoost*", // GBTRegressor stand-in
@@ -84,22 +92,47 @@ object ComPredict {
   def allModels(seed: Long = 7): Vector[Model] =
     Vector(Averaging, gbt(seed), linear(), randomForest(seed))
 
+  /** The serialized bytes of a row set in `layout` and its model features
+    * of the given kind.
+    */
+  private def featurize(rows: IndexedSeq[Row], schema: StructType, layout: Layout,
+                        kind: Features.Kind): (Array[Byte], Array[Double]) = {
+    val raw = layout.serialize(rows)
+    val feats = kind match {
+      case Features.Size => Features.sizeOnlyVector(raw.length.toLong, rows.length.toLong)
+      case Features.Entropy =>
+        Features.featureVector(raw.length.toLong, rows.length.toLong,
+          Features.weightedEntropyLocal(rows, schema))
+    }
+    (raw, feats)
+  }
+
+  private def labelled(tag: String, raw: Array[Byte], feats: Array[Double], codec: Codec): Example = {
+    val meas = CompressionMeasure.measureBytes(raw, codec)
+    Example(tag, feats, meas.ratio, meas.decompSecPerGB)
+  }
+
   /** Builds labelled examples from samples for one (layout, codec):
     * features of the given kind, targets measured with the real codec.
     */
   def buildExamples(samples: Seq[Sampling.Sample], layout: Layout, codec: Codec,
                     featureKind: Features.Kind = Features.Entropy): Vector[Example] =
     samples.iterator.map { s =>
-      val raw  = layout.serialize(s.rows)
-      val meas = CompressionMeasure.measureBytes(raw, codec)
-      val feats = featureKind match {
-        case Features.Size => Features.sizeOnlyVector(raw.length.toLong, s.rows.length.toLong)
-        case Features.Entropy =>
-          Features.featureVector(raw.length.toLong, s.rows.length.toLong,
-            Features.weightedEntropyLocal(s.rows, s.schema))
-      }
-      Example(s.tag, feats, meas.ratio, meas.decompSecPerGB)
+      val (raw, feats) = featurize(s.rows, s.schema, layout, featureKind)
+      labelled(s.tag, raw, feats, codec)
     }.toVector
+
+  /** `buildExamples` for every compressing codec, by codec name, with
+    * entropy features. Each sample is serialized and featurized once; the
+    * codecs are then measured one after another on the driver.
+    */
+  def codecExamples(samples: Seq[Sampling.Sample], layout: Layout): Map[String, Vector[Example]] = {
+    val prepared = samples.map(s => (s.tag, featurize(s.rows, s.schema, layout, Features.Entropy)))
+    Codecs.compressing.map { c =>
+      c.name -> prepared.iterator.map { case (tag, (raw, feats)) => labelled(tag, raw, feats, c) }
+        .toVector
+    }.toMap
+  }
 
   /** Fit on an explicit training set, compute metrics on an explicit test
     * set — used when train and test distributions deliberately differ
@@ -131,11 +164,8 @@ object ComPredict {
     */
   final class PerfPredictor(fittedRatio: Map[String, Fitted], fittedDecomp: Map[String, Fitted],
                             layout: Layout) extends Serializable {
-    def predict(rows: IndexedSeq[org.apache.spark.sql.Row],
-                schema: org.apache.spark.sql.types.StructType): Vector[CodecPerf] = {
-      val raw = layout.serialize(rows)
-      val f = Features.featureVector(raw.length.toLong, rows.length.toLong,
-        Features.weightedEntropyLocal(rows, schema))
+    def predict(rows: IndexedSeq[Row], schema: StructType): Vector[CodecPerf] = {
+      val (_, f) = featurize(rows, schema, layout, Features.Entropy)
       CodecPerf.identity +: Codecs.compressing.map { c =>
         CodecPerf(math.max(1.0, fittedRatio(c.name).predict(f)),
                   math.max(0.0, fittedDecomp(c.name).predict(f)))
@@ -143,16 +173,33 @@ object ComPredict {
     }
   }
 
-  /** Trains a [[PerfPredictor]] over all compressing codecs for one layout. */
+  /** Fits a [[PerfPredictor]] on labelled examples by codec name (as
+    * [[codecExamples]] gives them). The ratio and decompression models of
+    * every compressing codec, six fits, run concurrently, one driver thread
+    * each, so their small MLlib jobs overlap.
+    */
+  def fitPredictor(examples: Map[String, Seq[Example]], layout: Layout,
+                   model: Model = randomForest()): PerfPredictor = {
+    val names = Codecs.compressing.map(_.name)
+    val fits = Concurrently.run(names.flatMap { c =>
+      val ex = examples(c)
+      require(ex.size >= 2, s"codec $c needs at least 2 examples, got ${ex.size}")
+      val xs = ex.map(_.features)
+      Seq(() => model.fit(xs, ex.map(_.ratio)), () => model.fit(xs, ex.map(_.decompSecPerGB)))
+    }).map(_.get)
+    val (ratio, decomp) = fits.grouped(2).map(p => (p(0), p(1))).toVector.unzip
+    new PerfPredictor(names.zip(ratio).toMap, names.zip(decomp).toMap, layout)
+  }
+
+  /** Trains a [[PerfPredictor]] over all compressing codecs for one layout:
+    * [[codecExamples]] measures the codecs on the driver, then
+    * [[fitPredictor]] fits the models concurrently.
+    *
+    * @throws IllegalArgumentException if there are fewer than 2 samples
+    */
   def trainPredictor(samples: Seq[Sampling.Sample], layout: Layout,
                      model: Model = randomForest()): PerfPredictor = {
-    val ratio  = scala.collection.mutable.Map.empty[String, Fitted]
-    val decomp = scala.collection.mutable.Map.empty[String, Fitted]
-    for (c <- Codecs.compressing) {
-      val ex = buildExamples(samples, layout, c)
-      ratio(c.name)  = model.fit(ex.map(_.features), ex.map(_.ratio))
-      decomp(c.name) = model.fit(ex.map(_.features), ex.map(_.decompSecPerGB))
-    }
-    new PerfPredictor(ratio.toMap, decomp.toMap, layout)
+    require(samples.size >= 2, s"COMPREDICT needs at least 2 training samples, got ${samples.size}")
+    fitPredictor(codecExamples(samples, layout), layout, model)
   }
 }

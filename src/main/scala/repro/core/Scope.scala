@@ -1,14 +1,12 @@
 package repro.core
 
-import java.util.concurrent.Executors
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.{IntegerType, StructType}
+import repro.Concurrently
 import repro.compress._
 import repro.partition._
-import scala.concurrent.{Await, ExecutionContext, Future}
-import scala.concurrent.duration.Duration
-import scala.util.{Failure, Try}
+import scala.util.Failure
 
 /** SCOPe (Section VII): the unified pipeline
   *   query logs -> initial partitions -> G-PART merge -> COMPREDICT (or
@@ -96,12 +94,7 @@ object Scope {
     */
   def buildLake(specs: Seq[TableSpec]): DataLake = {
     val offsets = specs.scanLeft(0)(_ + _.nFiles)
-    val pool = Executors.newFixedThreadPool(math.max(1, specs.size))
-    val built = try {
-      implicit val ec: ExecutionContext = ExecutionContext.fromExecutorService(pool)
-      val futures = specs.zip(offsets).map { case (s, off) => Future(splitTable(s, off)) }
-      futures.map(f => Try(Await.result(f, Duration.Inf)))
-    } finally pool.shutdown()
+    val built = Concurrently.run(specs.zip(offsets).map { case (s, off) => () => splitTable(s, off) })
     built.collectFirst { case Failure(e) => e }.foreach { e =>
       built.foreach(_.foreach(_._1.df.unpersist(blocking = true)))
       throw e

@@ -33,15 +33,15 @@ object ExpCompredict {
              repro.SynthData.customer(spark, sf),
              repro.SynthData.part(spark, sf))
 
-  /** Pools query-result samples across tables: `queriesPerTable` synthetic
-    * predicate queries each, results capped at `maxRows`.
-    */
   /** Minimum rows for a usable training sample: decompression timings on
     * sub-millisecond buffers are noise, and the paper's TPC-H template
     * results are substantial.
     */
   val MinSampleRows = 200
 
+  /** Pools query-result samples across tables: `queriesPerTable` synthetic
+    * predicate queries each, results capped at `maxRows`.
+    */
   def querySamples(spark: SparkSession, sf: Double, skew: Boolean, queriesPerTable: Int,
                    maxRows: Int, seed: Long): Vector[Sampling.Sample] =
     sourceTables(spark, sf, skew).zipWithIndex.flatMap { case (df, i) =>

@@ -52,10 +52,6 @@ object AccessPredictor {
   /** Trains on months `trainT0s` (all strictly before `testT0`: out-of-time
     * validation) and evaluates at `testT0`. Returns the per-dataset
     * predicted tier and the confusion matrix vs the ideal tier.
-    */
-  /** Trains on months `trainT0s` (all strictly before `testT0`: out-of-time
-    * validation) and evaluates at `testT0`. Returns the per-dataset
-    * predicted tier and the confusion matrix vs the ideal tier.
     *
     * @param hotBias decision threshold on P(hot) for the 2-tier case. A
     *                false-cool (hot data cooled) pays per-access read

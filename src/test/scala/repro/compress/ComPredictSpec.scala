@@ -76,6 +76,14 @@ class ComPredictSpec extends AnyFunSuite with SparkSpec {
     }
   }
 
+  test("trainPredictor rejects fewer than two samples") {
+    import spark.implicits._
+    val df = (1 to 50).map(i => (i, s"s$i")).toDF("a", "b")
+    val one = Seq(Sampling.Sample("t", df.collect().toVector, df.schema))
+    val e = intercept[IllegalArgumentException](ComPredict.trainPredictor(one, Layouts.RowCsv))
+    assert(e.getMessage.contains("at least 2 training samples"))
+  }
+
   test("trainPredictor end-to-end: prediction within 30% of measured ratio on held-out queries") {
     val orders = SynthData.orders(spark, sf = 0.005).cache()
     val qs = Sampling.generateQueries(orders, 30, seed = 81)

@@ -57,4 +57,36 @@ class SamplingSpec extends AnyFunSuite with SparkSpec {
     }
     assert(meanEntropy(qSamples) < meanEntropy(rSamples))
   }
+
+  test("generateQueries rejects an empty frame") {
+    val e = intercept[IllegalArgumentException] {
+      Sampling.generateQueries(orders.filter("o_orderkey < 0"), 5, seed = 75)
+    }
+    assert(e.getMessage.contains("empty"))
+  }
+
+  test("generateQueries rejects a frame with no categorical or numeric column") {
+    val e = intercept[IllegalArgumentException] {
+      Sampling.generateQueries(orders.select("o_orderdate"), 5, seed = 76)
+    }
+    assert(e.getMessage.contains("no categorical or numeric column"))
+  }
+
+  test("generateQueries rejects a negative query count") {
+    val e = intercept[IllegalArgumentException](Sampling.generateQueries(orders, -1, seed = 77))
+    assert(e.getMessage.contains("-1"))
+  }
+
+  test("generateQueries rejects a numeric column that holds only nulls") {
+    val nulls = orders.selectExpr("o_orderstatus", "CAST(NULL AS DOUBLE) AS no_price")
+    val e = intercept[IllegalArgumentException](Sampling.generateQueries(nulls, 5, seed = 78))
+    assert(e.getMessage.contains("no_price"))
+  }
+
+  test("querySamples rejects a cap below one row") {
+    val e = intercept[IllegalArgumentException] {
+      Sampling.querySamples(orders, Seq(Sampling.EqQuery("o_orderstatus", "O")), maxRows = 0)
+    }
+    assert(e.getMessage.contains("maxRows"))
+  }
 }
