@@ -20,7 +20,7 @@ class TableIIBench extends AnyFunSuite with BenchBase {
     banner("Table II", "OPTASSIGN (K=0) % cost benefit over all-Hot; projected accesses, billed on actual")
     val rows = ExpTiering.tableII()
     println(f"${"Customer"}%-12s ${"Size(PB)"}%9s | ${"paper 2mo"}%9s ${"ours 2mo"}%9s | ${"paper 6mo"}%9s ${"ours 6mo"}%9s")
-    rows.zip(paper).foreach { case (r, (name, pb, p2, p6)) =>
+    rows.zip(paper).foreach { case (r, (name, _, p2, p6)) =>
       assert(r.customer == name)
       println(f"${r.customer}%-12s ${r.totalPB}%9.3f | $p2%9.2f ${r.benefit2mo}%9.2f | $p6%9.2f ${r.benefit6mo}%9.2f")
     }

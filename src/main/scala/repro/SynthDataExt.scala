@@ -26,7 +26,6 @@ object SynthDataExt {
   }
 
   def partsupp(spark: SparkSession, sf: Double = 0.01, seed: Long = 7): DataFrame = {
-    import spark.implicits._
     val nPart = n(200_000L, sf); val nSupp = n(NSupplierPerSf, sf)
     spark.range(n(NPartSuppPerSf, sf)).select(
       (col("id") % nPart + 1).cast(LongType)            as "ps_partkey",

@@ -69,7 +69,4 @@ object Codecs {
 
   /** The compressing schemes only (for COMPREDICT training). */
   val compressing: Vector[Codec] = Vector(Gzip, SnappyCodec, Lz4)
-
-  def byName(n: String): Codec = all.find(_.name == n).getOrElse(
-    throw new IllegalArgumentException(s"unknown codec $n"))
 }

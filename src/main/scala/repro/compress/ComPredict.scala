@@ -1,6 +1,5 @@
 package repro.compress
 
-import org.apache.spark.ml.feature.VectorAssembler
 import org.apache.spark.ml.linalg.Vectors
 import org.apache.spark.ml.regression.{GBTRegressor, LinearRegression, RandomForestRegressor}
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}

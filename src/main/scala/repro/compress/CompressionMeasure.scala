@@ -1,6 +1,6 @@
 package repro.compress
 
-import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.Row
 
 /** Measured compression performance of one (sample, layout, codec):
   * ground truth for COMPREDICT training and for the "ground truth
@@ -45,31 +45,5 @@ object CompressionMeasure {
       if (codec == Codecs.Identity) 0.0
       else best / 1e9 / (raw.length.toDouble / (1L << 30))
     CompMeasurement(raw.length.toLong, compressed.length.toLong, secPerGB)
-  }
-
-  /** Distributed measurement of a whole DataFrame: each Spark partition is
-    * serialized + compressed on the executors; byte totals are summed and
-    * the decompression rate is the byte-weighted mean over chunks. This is
-    * the "cost model evaluated per partition" path of the reproduction —
-    * the work runs inside mapPartitions, not on the driver.
-    */
-  def measureDF(df: DataFrame, layout: Layout, codec: Codec): CompMeasurement = {
-    val perChunk = df.rdd
-      .mapPartitions { it =>
-        val rows = it.toVector
-        if (rows.isEmpty) Iterator.empty
-        else Iterator.single(measureRows(rows, layout, codec, reps = 1))
-      }
-      .collect()
-    aggregate(perChunk.toIndexedSeq)
-  }
-
-  /** Byte-weighted aggregation of chunk measurements. */
-  def aggregate(ms: Seq[CompMeasurement]): CompMeasurement = {
-    require(ms.nonEmpty, "no chunks to aggregate")
-    val raw  = ms.map(_.rawBytes).sum
-    val comp = ms.map(_.compressedBytes).sum
-    val sec  = ms.map(m => m.decompSecPerGB * m.rawBytes).sum / math.max(1L, raw)
-    CompMeasurement(raw, comp, sec)
   }
 }

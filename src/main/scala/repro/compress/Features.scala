@@ -1,7 +1,6 @@
 package repro.compress
 
-import org.apache.spark.sql.{DataFrame, Row}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.Row
 import org.apache.spark.sql.types._
 
 /** COMPREDICT features (Section V): per-datatype *weighted entropy*
@@ -54,26 +53,6 @@ object Features {
           -s.length * pr * math.log(pr)
         }.sum
       d -> h
-    }
-  }
-
-  /** Distributed weighted entropy over a full DataFrame (the one-time full
-    * scan the paper mentions): per column, a groupBy-count aggregation
-    * computes pr(s); per-datatype sums pool columns of the same bucket.
-    */
-  def weightedEntropyDF(df: DataFrame): Map[String, Double] = {
-    val fields = df.schema.fields
-    // One pass per datatype bucket: stack the bucket's columns into one
-    // value column, then aggregate -len*pr*log(pr) over the value counts.
-    fields.groupBy(f => dtypeOf(f.dataType)).map { case (d, fs) =>
-      val stacked = fs.toSeq.map(f => df.select(col(f.name).cast(StringType) as "v"))
-        .reduce(_ unionAll _)
-      val counts = stacked.na.fill("", Seq("v")).groupBy("v").count()
-      val total  = counts.agg(sum("count")).first().getLong(0).toDouble
-      val h = counts
-        .select(sum(-length(col("v")) * (col("count") / total) * log(col("count") / total)) as "h")
-        .first()
-      d -> (if (h.isNullAt(0)) 0.0 else h.getDouble(0))
     }
   }
 

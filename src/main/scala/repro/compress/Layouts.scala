@@ -55,9 +55,4 @@ object Layouts {
       sb.toString.getBytes(StandardCharsets.UTF_8)
     }
   }
-
-  val all: Vector[Layout] = Vector(RowCsv, Columnar)
-
-  def byName(n: String): Layout = all.find(_.name == n).getOrElse(
-    throw new IllegalArgumentException(s"unknown layout $n"))
 }

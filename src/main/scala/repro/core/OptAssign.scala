@@ -64,6 +64,7 @@ final case class OptAssignInstance(
     months: Double = 1.0,
 ) {
   require(capacityGB.length == tiers.length, "one capacity per tier")
+  require(parts.iterator.map(_.id).distinct.size == parts.size, "partition ids must be distinct")
   require(capacityGB.forall(_ >= 0),
     s"capacities must be non-negative numbers (GB or +Infinity), got ${capacityGB.mkString(", ")}")
 }
@@ -147,13 +148,27 @@ object OptAssign {
     * `inst`, sorted by id; None if the instance is infeasible. Exact for
     * N <= `ExactMaxParts` unless the search runs out of nodes, in which
     * case (and for larger N) the answer is the greedy + capacity repair's.
+    * Every plan passes [[feasible]] before it is returned.
     */
-  def solve(inst: OptAssignInstance, score: Score = costOf): Option[Vector[Assignment]] =
-    if (inst.parts.size > ExactMaxParts) greedyRepair(inst, score)
-    else exactIlp(inst, score, ExactNodeBudget) match {
-      case Optimum(plan)   => plan
-      case BudgetExhausted => greedyRepair(inst, score)
-    }
+  def solve(inst: OptAssignInstance, score: Score = costOf): Option[Vector[Assignment]] = {
+    val found =
+      if (inst.parts.size > ExactMaxParts) greedyRepair(inst, score)
+      else exactIlp(inst, score, ExactNodeBudget) match {
+        case Optimum(plan)   => plan
+        case BudgetExhausted => greedyRepair(inst, score)
+      }
+    found.map(checked(inst, _))
+  }
+
+  /** Returns `plan` if it satisfies every OPTASSIGN constraint of `inst`;
+    * otherwise throws rather than let an infeasible plan be reported.
+    */
+  private[core] def checked(inst: OptAssignInstance, plan: Vector[Assignment]): Vector[Assignment] = {
+    if (!feasible(inst, plan))
+      throw new IllegalStateException(
+        "OPTASSIGN produced a plan that breaks a coverage, capacity, latency or codec constraint")
+    plan
+  }
 
   /** What the exact search found: the optimum (None if the instance is
     * infeasible), or nothing, because it visited more nodes than its budget.
@@ -220,9 +235,9 @@ object OptAssign {
     val options = inst.parts.map(p => feasibleOptions(inst, p, score))
     if (options.exists(_.isEmpty)) return None
     // Partitions are visited in the iteration order of a mutable map keyed by
-    // id (the last partition of an id wins). Eviction ties go to the first
-    // candidate in that order, and per-tier usage is summed in it, so the
-    // order is part of the answer; ids need not be contiguous.
+    // their (distinct) ids. Eviction ties go to the first candidate in that
+    // order, and per-tier usage is summed in it, so the order is part of the
+    // answer; ids need not be contiguous.
     val slots  = mutable.Map.from(inst.parts.indices.map(i => inst.parts(i).id -> i)).valuesIterator.toArray
     val parts  = slots.map(inst.parts)
     val opts   = slots.map(options)

@@ -25,8 +25,7 @@ object Scope {
   }
 
   /** A table after file splitting: `df` carries a global `file_id` column. */
-  final case class LakeTable(name: String, df: DataFrame, schema: StructType,
-                             fileOffset: Int, nFiles: Int)
+  final case class LakeTable(name: String, df: DataFrame, fileOffset: Int, nFiles: Int)
 
   /** The whole lake: tables plus the global file catalog (rows and raw
     * CSV-serialized bytes per file, both computed with DataFrame
@@ -44,7 +43,7 @@ object Scope {
       */
     def sampleRows(part: Part, cap: Int): (IndexedSeq[Row], StructType) = {
       val t = tableOfFile(part.files.head)
-      (sampleParts(Seq(part), cap).head, StructType(t.schema.filterNot(_.name == "file_id")))
+      (sampleParts(Seq(part), cap).head, StructType(t.df.schema.filterNot(_.name == "file_id")))
     }
 
     /** The `sampleRows` samples of many partitions, from one Spark job. Only
@@ -141,7 +140,7 @@ object Scope {
         .collect()
         .map(r => (r.getInt(0), r.getLong(1), r.getLong(2)))
       catch { case e: Throwable => df.unpersist(blocking = true); throw e }
-    (LakeTable(s.name, df, df.schema, fileOffset, s.nFiles), stats)
+    (LakeTable(s.name, df, fileOffset, s.nFiles), stats)
   }
 
   /** Generates Zipf/uniform query families per table (contiguous file
@@ -181,12 +180,9 @@ object Scope {
     }
   }
 
-  /** Ground-truth compression performance of a partition: measured with the
-    * real codecs on a row sample in the given layout (identity prepended).
+  /** Ground-truth compression performance of a row sample: measured with
+    * the real codecs in the given layout (identity prepended).
     */
-  def groundTruthPerf(lake: DataLake, part: Part, layout: Layout, cap: Int): Vector[CodecPerf] =
-    measuredPerf(lake.sampleRows(part, cap)._1, layout)
-
   private def measuredPerf(rows: IndexedSeq[Row], layout: Layout): Vector[CodecPerf] =
     CodecPerf.identity +: Codecs.compressing.map { c =>
       val m = CompressionMeasure.measureRows(rows, layout, c)
@@ -301,7 +297,7 @@ object Scope {
     val inst = OptAssignInstance(stats, v.tiers, caps, v.weights, months)
     val chosen = OptAssign.solve(inst, if (v.latencyLex) latencyLexScore else OptAssign.costOf)
       .getOrElse(throw new IllegalStateException(s"variant ${v.key} infeasible"))
-    report(v, inst, checkedPlan(v, inst, chosen), months)
+    report(v, inst, chosen, months)
   }
 
   /** HCompress adaptation: minimize expected (access-weighted) latency
@@ -311,16 +307,6 @@ object Scope {
     math.max(p.accesses, 1.0) *
       (p.codecPerfs(k).decompSecPerGB * p.sizeGB + inst.tiers(l).ttfbSec) * 1e6 +
       OptAssign.costOf(inst, p, l, k)
-
-  /** Returns `chosen` if it satisfies every OPTASSIGN constraint of `inst`;
-    * otherwise throws rather than report an infeasible plan for `v`.
-    */
-  def checkedPlan(v: Variant, inst: OptAssignInstance, chosen: Seq[Assignment]): Seq[Assignment] = {
-    if (!OptAssign.feasible(inst, chosen))
-      throw new IllegalStateException(
-        s"variant ${v.key} produced a plan that breaks a coverage, capacity, latency or codec constraint")
-    chosen
-  }
 
   /** Cost/latency breakdown at reporting weights (1,1,1). */
   def report(v: Variant, inst: OptAssignInstance, chosen: Seq[Assignment],

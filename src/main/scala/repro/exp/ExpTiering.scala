@@ -108,9 +108,9 @@ object ExpTiering {
     rows += TableIVRow("All hot", "N/A", 2,
       benefitOf(TieringBaselines.allHot(inst(2, hotCool), 0), 2, hotCool))
     rows += TableIVRow("\"Hot\" if data accessed in last 2 mos", "N/A", 4,
-      benefitOf(TieringBaselines.hotIfAccessedRecently(acc, inst(4, hotCool), 0, 1, t0, 2), 4, hotCool))
+      benefitOf(TieringBaselines.hotIfAccessedRecently(acc, 0, 1, t0, 2), 4, hotCool))
     rows += TableIVRow("\"Hot\" if data accessed in last 1 mo", "N/A", 4,
-      benefitOf(TieringBaselines.hotIfAccessedRecently(acc, inst(4, hotCool), 0, 1, t0, 1), 4, hotCool))
+      benefitOf(TieringBaselines.hotIfAccessedRecently(acc, 0, 1, t0, 1), 4, hotCool))
     rows += TableIVRow("Use optimal tier of prev. month", "N/A", 2,
       benefitOf(TieringBaselines.prevMonthOptimal(acc, inst(2, hotCool), 0, t0), 2, hotCool))
 

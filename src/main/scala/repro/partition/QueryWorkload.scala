@@ -8,19 +8,9 @@ import scala.util.Random
   * each family yields one initial partition whose rho is the family's total
   * access frequency. Enterprise workloads are skewed, so frequencies can be
   * drawn Zipf-like; file footprints are contiguous ranges (time-series-like
-  * access) or random subsets (ad-hoc access).
+  * access).
   */
 object QueryWorkload {
-
-  /** Draw a Zipf(alpha) rank in [1, n] by inverse-CDF over rank weights. */
-  def zipfRank(rng: Random, n: Int, alpha: Double): Int = {
-    val weights = (1 to n).map(k => 1.0 / math.pow(k, alpha))
-    val total   = weights.sum
-    var u       = rng.nextDouble() * total
-    var k       = 0
-    while (k < n - 1 && u > weights(k)) { u -= weights(k); k += 1 }
-    k + 1
-  }
 
   /** Contiguous-range query families (time-series-style access).
     *
@@ -44,21 +34,6 @@ object QueryWorkload {
       .map { case ((start, len, freq), i) => Part.initial(i, start until (start + len), freq) }
       .sortBy(p => p.files.max)
       .toVector
-  }
-
-  /** Random-subset query families (ad-hoc access): each family touches
-    * `filesPerFamily` uniformly chosen files.
-    */
-  def subsetFamilies(nFiles: Int, nFamilies: Int, filesPerFamily: Int,
-                     zipfAlpha: Double, seed: Long): Vector[Part] = {
-    val rng = new Random(seed)
-    (0 until nFamilies).map { i =>
-      val files = rng.shuffle((0 until nFiles).toVector).take(filesPerFamily)
-      val freq =
-        if (zipfAlpha > 0) 100.0 / math.pow(i + 1, zipfAlpha) max 1.0
-        else 1.0 + rng.nextInt(20)
-      Part.initial(i, files, freq)
-    }.toVector
   }
 
   /** A synthetic file catalog: `nFiles` files of ~rowsPerFile rows (+-50%,

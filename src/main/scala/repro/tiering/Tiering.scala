@@ -53,12 +53,6 @@ object Tiering {
   def knownAccesses(acc: EnterpriseSim.Account, t0: Int, horizon: Int): Map[Int, Double] =
     acc.datasets.map(ds => ds.id -> futureAccesses(ds, t0, horizon)).toMap
 
-  /** Cost of the all-Hot platform baseline: no tier change, Hot storage +
-    * Hot reads — evaluated against *actual* accesses.
-    */
-  def allHotAssignment(inst: OptAssignInstance, hotIdx: Int): Vector[Assignment] =
-    inst.parts.map(p => Assignment(p.id, hotIdx, 0)).toVector
-
   /** Evaluates an assignment against the *actual* future accesses (the
     * paper's "% benefit after making errors"): predictions choose the tier,
     * reality bills it.
@@ -74,19 +68,15 @@ object Tiering {
   /** % cost benefit of `assignment` over all-Hot under actual accesses. */
   def benefitPct(inst: OptAssignInstance, hotIdx: Int, assignment: Seq[Assignment],
                  actualAccesses: Map[Int, Double]): Double = {
-    val base = actualCost(inst, allHotAssignment(inst, hotIdx), actualAccesses)
+    val base = actualCost(inst, TieringBaselines.allHot(inst, hotIdx), actualAccesses)
     val got  = actualCost(inst, assignment, actualAccesses)
     (base - got) / base * 100.0
   }
 
   /** OPTASSIGN's tier choice per dataset (with no capacity bounds this is
-    * Theorem 3's greedy), checked against every OPTASSIGN constraint.
+    * Theorem 3's greedy).
     */
-  def optAssignTiers(inst: OptAssignInstance): Vector[Assignment] = {
-    val plan = OptAssign.solve(inst).getOrElse(
+  def optAssignTiers(inst: OptAssignInstance): Vector[Assignment] =
+    OptAssign.solve(inst).getOrElse(
       throw new IllegalStateException("tiering instance must be feasible"))
-    if (!OptAssign.feasible(inst, plan))
-      throw new IllegalStateException("tiering plan breaks a coverage, capacity, latency or codec constraint")
-    plan
-  }
 }

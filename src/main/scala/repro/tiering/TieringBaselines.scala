@@ -9,15 +9,18 @@ import repro.core.{Assignment, OptAssignInstance}
   */
 object TieringBaselines {
 
-  /** Row 1: keep everything Hot (the platform default). */
+  /** Row 1: keep everything Hot (the platform default, and the baseline
+    * every benefit is measured against): no tier change, Hot storage + Hot
+    * reads.
+    */
   def allHot(inst: OptAssignInstance, hotIdx: Int): Vector[Assignment] =
-    Tiering.allHotAssignment(inst, hotIdx)
+    inst.parts.map(p => Assignment(p.id, hotIdx, 0)).toVector
 
   /** Rows 2–3: cache rule — Hot iff the dataset was read at least once in
     * the last `window` months before t0, else Cool.
     */
-  def hotIfAccessedRecently(acc: EnterpriseSim.Account, inst: OptAssignInstance,
-                            hotIdx: Int, coolIdx: Int, t0: Int, window: Int): Vector[Assignment] =
+  def hotIfAccessedRecently(acc: EnterpriseSim.Account, hotIdx: Int, coolIdx: Int,
+                            t0: Int, window: Int): Vector[Assignment] =
     acc.datasets.map { ds =>
       val recent = (math.max(0, t0 - window) until t0).map(ds.reads).sum
       Assignment(ds.id, if (recent > 0) hotIdx else coolIdx, 0)

@@ -1,10 +1,8 @@
 package repro.compress
 
-import org.apache.spark.sql.functions._
 import org.scalatest.funsuite.AnyFunSuite
-import repro.SparkSpec
 
-class CompressionMeasureSpec extends AnyFunSuite with SparkSpec {
+class CompressionMeasureSpec extends AnyFunSuite {
 
   test("measureBytes: ratio = raw / compressed, positive decompression rate") {
     val raw = ("repetition! " * 2000).getBytes
@@ -26,30 +24,6 @@ class CompressionMeasureSpec extends AnyFunSuite with SparkSpec {
     val g = CompressionMeasure.measureBytes(raw, Codecs.Gzip, reps = 5)
     val s = CompressionMeasure.measureBytes(raw, Codecs.SnappyCodec, reps = 5)
     assert(s.decompSecPerGB < g.decompSecPerGB)
-  }
-
-  test("aggregate is byte-weighted") {
-    val a = CompMeasurement(100, 50, 2.0)
-    val b = CompMeasurement(300, 100, 4.0)
-    val agg = CompressionMeasure.aggregate(Seq(a, b))
-    assert(agg.rawBytes == 400 && agg.compressedBytes == 150)
-    assert(math.abs(agg.decompSecPerGB - (2.0 * 100 + 4.0 * 300) / 400) < 1e-9)
-  }
-
-  test("aggregate of nothing is rejected") {
-    assertThrows[IllegalArgumentException] { CompressionMeasure.aggregate(Nil) }
-  }
-
-  test("measureDF (distributed) agrees with a local measurement on the same rows") {
-    import spark.implicits._
-    val df = (1 to 5000).map(i => (i.toLong, s"cat-${i % 7}", i * 1.5)).toDF("k", "c", "v")
-      .repartition(4).cache()
-    val dist = CompressionMeasure.measureDF(df, Layouts.RowCsv, Codecs.Gzip)
-    val local = CompressionMeasure.measureRows(df.collect().toVector, Layouts.RowCsv, Codecs.Gzip)
-    assert(dist.rawBytes == local.rawBytes, "serialized bytes must match exactly")
-    // Per-chunk compression loses a little context vs one big buffer.
-    assert(math.abs(dist.ratio - local.ratio) / local.ratio < 0.25)
-    df.unpersist()
   }
 
   test("measureRows on an empty partition set yields empty serialization") {

@@ -51,11 +51,11 @@ class FeaturesSpec extends AnyFunSuite with SparkSpec {
     assert(hRep < hDiv)
   }
 
-  test("weightedEntropyDF agrees with the local computation") {
+  test("weightedEntropyLocal agrees with a distributed computation") {
     import spark.implicits._
     val data = (1 to 500).map(i => (i.toLong % 13, s"name-${i % 5}", (i % 7).toDouble))
     val df = data.toDF("k", "name", "v")
-    val dfH = Features.weightedEntropyDF(df)
+    val dfH = FeaturesReference.weightedEntropy(df)
     val localH = Features.weightedEntropyLocal(
       data.map { case (a, b, c) => Row(a, b, c) }.toVector, df.schema.asInstanceOf[StructType])
     for (d <- Seq("int", "object", "float"))

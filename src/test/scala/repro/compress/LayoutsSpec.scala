@@ -46,10 +46,4 @@ class LayoutsSpec extends AnyFunSuite {
     val colC = Codecs.Gzip.compress(Layouts.Columnar.serialize(data)).length
     assert(colC < rowC)
   }
-
-  test("layout registry lookup") {
-    assert(Layouts.byName("csv") == Layouts.RowCsv)
-    assert(Layouts.byName("parquet") == Layouts.Columnar)
-    assertThrows[IllegalArgumentException] { Layouts.byName("orc") }
-  }
 }

@@ -61,7 +61,7 @@ class LakeDifferentialSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("every row lands in the same file, and the catalogs agree") {
-    assert(lake.tables.map(_.schema) == ref.tables.map(_.schema))
+    assert(lake.tables.map(_.df.schema) == ref.tables.map(_.df.schema))
     assert(lake.tables.map(t => (t.name, t.fileOffset, t.nFiles)) ==
       ref.tables.map(t => (t.name, t.fileOffset, t.nFiles)))
     assert(fileRows(lake) == fileRows(ref))

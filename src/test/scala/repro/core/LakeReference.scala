@@ -22,7 +22,7 @@ object LakeReference {
         .withColumn("file_id", ((ntile(s.nFiles).over(w) - 1) + offset).cast("int"))
         .cache()
       df.count() // materialize before the window's single-partition shuffle is re-run
-      val t = Scope.LakeTable(s.name, df, df.schema, offset, s.nFiles)
+      val t = Scope.LakeTable(s.name, df, offset, s.nFiles)
       offset += s.nFiles
       t
     }.toVector
@@ -48,6 +48,6 @@ object LakeReference {
       .limit(cap)
       .collect()
       .toIndexedSeq
-    (rows, StructType(t.schema.filterNot(_.name == "file_id")))
+    (rows, StructType(t.df.schema.filterNot(_.name == "file_id")))
   }
 }

@@ -240,4 +240,22 @@ class OptAssignSpec extends AnyFunSuite {
       assert(e.getMessage.contains("capacities"))
     }
   }
+
+  test("OptAssignInstance rejects repeated partition ids") {
+    val parts = Vector.tabulate(13)(i => onePart.copy(id = if (i == 12) 3 else i))
+    val e = intercept[IllegalArgumentException](simpleInst(parts))
+    assert(e.getMessage.contains("partition ids must be distinct"))
+  }
+
+  test("solve's plan check: an infeasible plan throws, a feasible one passes") {
+    val parts = Vector.tabulate(3)(i => PartitionStat(10 + i, sizeGB = 2.0, accesses = 5.0,
+      latencySlaSec = 1e7, currentTier = -1, currentCodec = -1, Vector(CodecPerf.identity)))
+    val inst = OptAssignInstance(parts, CostModel.azure3, Vector(3.0, 3.0, Double.PositiveInfinity),
+      CostWeights(), months = 5.5)
+    val overPremium = parts.map(p => Assignment(p.id, 0, 0)) // 6 GB on a 3 GB tier
+    val e = intercept[IllegalStateException](OptAssign.checked(inst, overPremium))
+    assert(e.getMessage.contains("capacity"))
+    val fits = Vector(Assignment(10, 0, 0), Assignment(11, 1, 0), Assignment(12, 2, 0))
+    assert(OptAssign.checked(inst, fits) == fits)
+  }
 }

@@ -108,9 +108,10 @@ class ScopeSpec extends AnyFunSuite with SparkSpec {
       "whole-table ids must be disjoint from the initial ids")
   }
 
-  test("groundTruthPerf: identity first, compressing codecs achieve ratio > 1") {
+  test("prepare with compression: identity first, compressing codecs reach ratio > 1") {
     val part = repro.partition.Part.initial(0, Seq(0, 1), 1.0)
-    val perfs = Scope.groundTruthPerf(lake, part, repro.compress.Layouts.Columnar, cap = 1500)
+    val perfs = Scope.prepare(lake, Vector(part), bytesScale = 1.0, compression = true,
+      sampleCap = 1500).stats.head.codecPerfs
     assert(perfs.length == 4)
     assert(perfs.head == CodecPerf.identity)
     assert(perfs.tail.forall(_.ratio > 1.0))
@@ -167,18 +168,5 @@ class ScopeSpec extends AnyFunSuite with SparkSpec {
     assert(expectedLatency(lat) <= expectedLatency(tot) + 1e-6)
     assert(lat.decompLatencyMs <= tot.decompLatencyMs + 1e-9,
       "latency focus never compresses more than cost focus")
-  }
-
-  test("runVariant's plan check: an infeasible plan throws, naming the variant") {
-    val v = Scope.variants.find(_.key == "scope-total").get
-    val parts = Vector.tabulate(3)(i => PartitionStat(10 + i, sizeGB = 2.0, accesses = 5.0,
-      latencySlaSec = 1e7, currentTier = -1, currentCodec = -1, Vector(CodecPerf.identity)))
-    val inst = OptAssignInstance(parts, v.tiers, Vector(3.0, 3.0, Double.PositiveInfinity),
-      v.weights, months = 5.5)
-    val overPremium = parts.map(p => Assignment(p.id, 0, 0)) // 6 GB on a 3 GB tier
-    val e = intercept[IllegalStateException](Scope.checkedPlan(v, inst, overPremium))
-    assert(e.getMessage.contains("scope-total"))
-    val fits = Vector(Assignment(10, 0, 0), Assignment(11, 1, 0), Assignment(12, 2, 0))
-    assert(Scope.checkedPlan(v, inst, fits) == fits)
   }
 }

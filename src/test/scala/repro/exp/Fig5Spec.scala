@@ -2,7 +2,7 @@ package repro.exp
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.{SparkSpec, SynthData}
-import repro.compress.{ComPredict, Layouts, Sampling}
+import repro.compress.{ComPredict, Layouts}
 import repro.core._
 import repro.partition.GPartConfig
 

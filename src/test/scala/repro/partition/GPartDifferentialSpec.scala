@@ -43,7 +43,7 @@ class GPartDifferentialSpec extends AnyFunSuite {
   test("random-subset families and access-incompatible neighbours merge identically") {
     for (seed <- 1 to 3) {
       val cat   = QueryWorkload.syntheticCatalog(60, 100, 10, seed)
-      val parts = QueryWorkload.subsetFamilies(60, 80, 4, if (seed == 2) 0.0 else 0.8, seed)
+      val parts = WorkloadGen.subsetFamilies(60, 80, 4, if (seed == 2) 0.0 else 0.8, seed)
       for (cfg <- configs(cat, 0.0) ++ configs(cat, 5.0))
         assertSame(parts, cat, cfg, s"seed=$seed $cfg")
     }

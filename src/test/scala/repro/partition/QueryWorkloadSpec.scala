@@ -40,16 +40,8 @@ class QueryWorkloadSpec extends AnyFunSuite {
   }
 
   test("subsetFamilies pick the requested number of distinct files") {
-    val fams = QueryWorkload.subsetFamilies(20, 10, 4, 0.0, seed = 7)
+    val fams = WorkloadGen.subsetFamilies(20, 10, 4, 0.0, seed = 7)
     fams.foreach(p => assert(p.files.size == 4 && p.files.forall(f => f >= 0 && f < 20)))
-  }
-
-  test("zipfRank lands in [1, n] and rank 1 is most likely") {
-    val rng = new scala.util.Random(8)
-    val draws = Vector.fill(3000)(QueryWorkload.zipfRank(rng, 10, 1.5))
-    assert(draws.forall(r => r >= 1 && r <= 10))
-    val counts = draws.groupBy(identity).view.mapValues(_.size).toMap
-    assert(counts(1) == counts.values.max)
   }
 
   test("syntheticCatalog: deterministic, positive rows, bytes = rows * bytesPerRow") {

@@ -16,7 +16,7 @@ class TieringBaselinesSpec extends AnyFunSuite {
   }
 
   test("hotIfAccessedRecently: recently-read datasets stay Hot, others go Cool") {
-    val a = TieringBaselines.hotIfAccessedRecently(acc, inst, 0, 1, t0, window = 2)
+    val a = TieringBaselines.hotIfAccessedRecently(acc, 0, 1, t0, window = 2)
     val byId = a.map(x => x.id -> x.tier).toMap
     acc.datasets.foreach { ds =>
       val recent = (t0 - 2 until t0).map(ds.reads).sum
@@ -25,8 +25,8 @@ class TieringBaselinesSpec extends AnyFunSuite {
   }
 
   test("a wider recency window keeps at least as many datasets Hot") {
-    val w1 = TieringBaselines.hotIfAccessedRecently(acc, inst, 0, 1, t0, 1).count(_.tier == 0)
-    val w2 = TieringBaselines.hotIfAccessedRecently(acc, inst, 0, 1, t0, 2).count(_.tier == 0)
+    val w1 = TieringBaselines.hotIfAccessedRecently(acc, 0, 1, t0, 1).count(_.tier == 0)
+    val w2 = TieringBaselines.hotIfAccessedRecently(acc, 0, 1, t0, 2).count(_.tier == 0)
     assert(w2 >= w1)
   }
 

@@ -43,7 +43,7 @@ class TieringSpec extends AnyFunSuite {
   test("all-Hot baseline has zero benefit") {
     val known = Tiering.knownAccesses(acc, t0, 2)
     val inst = Tiering.instance(acc, CostModel.hotCool, 0, 2, known)
-    val b = Tiering.benefitPct(inst, 0, Tiering.allHotAssignment(inst, 0), known)
+    val b = Tiering.benefitPct(inst, 0, TieringBaselines.allHot(inst, 0), known)
     assert(math.abs(b) < 1e-9)
   }
 
@@ -54,7 +54,7 @@ class TieringSpec extends AnyFunSuite {
     val optBenefit = Tiering.benefitPct(inst, 0, opt, known)
     // any rule-based assignment must be no better
     for (w <- Seq(1, 2)) {
-      val rule = TieringBaselines.hotIfAccessedRecently(acc, inst, 0, 1, t0, w)
+      val rule = TieringBaselines.hotIfAccessedRecently(acc, 0, 1, t0, w)
       assert(Tiering.benefitPct(inst, 0, rule, known) <= optBenefit + 1e-9)
     }
     val prev = TieringBaselines.prevMonthOptimal(acc, inst, 0, t0)
@@ -113,7 +113,7 @@ class TieringSpec extends AnyFunSuite {
 
   test("actualCost bills the assignment under actual, not predicted, accesses") {
     val inst = Tiering.instance(acc, CostModel.hotCool, 0, 2, Map.empty) // predicted: nothing
-    val assignment = Tiering.allHotAssignment(inst, 0)
+    val assignment = TieringBaselines.allHot(inst, 0)
     val zero = Tiering.actualCost(inst, assignment, Map.empty)
     val busy = Tiering.actualCost(inst, assignment,
       acc.datasets.map(_.id -> 100.0).toMap)
