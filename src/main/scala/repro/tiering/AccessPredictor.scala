@@ -1,10 +1,11 @@
 package repro.tiering
 
-import org.apache.spark.ml.Pipeline
-import org.apache.spark.ml.classification.RandomForestClassifier
+import org.apache.spark.ml.classification.{RandomForestClassificationModel, RandomForestClassifier}
 import org.apache.spark.ml.feature.VectorAssembler
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.ml.linalg.{Vector => MLVector}
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
+import repro.Concurrently
 import repro.core.Tier
 
 /** The paper's access-pattern / ideal-tier predictor (Tables III–IV):
@@ -27,6 +28,13 @@ object AccessPredictor {
     def macroF1: Double = labels.indices.map(f1).sum / labels.size
   }
 
+  /** One test-month dataset as the forest scored it. */
+  private[tiering] final case class Score(datasetId: Int, probability: MLVector, prediction: Int, label: Int)
+
+  /** Everything one [[trainEval]] call fits and decides. */
+  private[tiering] final case class Run(forest: RandomForestClassificationModel, scores: Vector[Score],
+                                        predicted: Map[Int, Int], confusion: Confusion)
+
   /** OPTASSIGN's ideal tier per dataset for [t0, t0+horizon) under known
     * future accesses — the training label.
     */
@@ -41,9 +49,13 @@ object AccessPredictor {
     * [t0, t0+horizon) — no leakage).
     */
   def labelled(spark: SparkSession, acc: EnterpriseSim.Account, tiers: Vector[Tier],
-               hotIdx: Int, t0: Int, horizon: Int, lags: Int = 6): DataFrame = {
+               hotIdx: Int, t0: Int, horizon: Int, lags: Int = 6): DataFrame =
+    labelledOn(TierFeatures.accessLogDF(spark, acc), acc, tiers, hotIdx, t0, horizon, lags)
+
+  private def labelledOn(log: DataFrame, acc: EnterpriseSim.Account, tiers: Vector[Tier],
+                         hotIdx: Int, t0: Int, horizon: Int, lags: Int): DataFrame = {
+    val spark = log.sparkSession
     import spark.implicits._
-    val log   = TierFeatures.accessLogDF(spark, acc)
     val feats = TierFeatures.featuresAt(log, t0, lags)
     val lbl   = idealTiers(acc, tiers, hotIdx, t0, horizon).toSeq.toDF("dataset_id", "label_tier")
     feats.join(lbl, "dataset_id").withColumn("label", col("label_tier").cast("double"))
@@ -53,6 +65,11 @@ object AccessPredictor {
     * validation) and evaluates at `testT0`. Returns the per-dataset
     * predicted tier and the confusion matrix vs the ideal tier.
     *
+    * Only the window starts are checked against `testT0`: a label covers
+    * `[t0, t0+horizon)`, so the last training labels may share months with
+    * the test label (Tables III–IV train on 6..13 and test at 14 with a
+    * 2-month horizon).
+    *
     * @param hotBias decision threshold on P(hot) for the 2-tier case. A
     *                false-cool (hot data cooled) pays per-access read
     *                premiums, a false-hot only the storage delta, so the
@@ -61,40 +78,65 @@ object AccessPredictor {
   def trainEval(spark: SparkSession, acc: EnterpriseSim.Account, tiers: Vector[Tier],
                 hotIdx: Int, trainT0s: Seq[Int], testT0: Int, horizon: Int,
                 lags: Int = 6, seed: Long = 13, hotBias: Double = 0.4): (Map[Int, Int], Confusion) = {
-    require(trainT0s.forall(_ < testT0), "training windows must precede the test window")
-    val train = trainT0s.map(t0 => labelled(spark, acc, tiers, hotIdx, t0, horizon, lags))
-      .reduce(_ unionAll _)
-    val test = labelled(spark, acc, tiers, hotIdx, testT0, horizon, lags)
+    val r = run(spark, acc, tiers, hotIdx, trainT0s, testT0, horizon, lags, seed, hotBias)
+    (r.predicted, r.confusion)
+  }
 
-    val pipeline = new Pipeline().setStages(Array(
-      new VectorAssembler()
-        .setInputCols(TierFeatures.featureCols(lags).toArray).setOutputCol("features"),
-      new RandomForestClassifier()
-        .setNumTrees(80).setMaxDepth(10).setSeed(seed),
-    ))
-    val model = pipeline.fit(train)
-    val rows  = model.transform(test)
-      .select(col("dataset_id"), col("probability"), col("prediction").cast("int"),
-        col("label").cast("int"))
-      .collect()
+  /** [[trainEval]] with the forest and the test month's scores.
+    *
+    * Each Spark plan runs once. The forest's input (`label`, `features`) and
+    * the test month's rows are collected side by side; the forest then fits
+    * on a copy of its input rebuilt from the driver with the same partitions
+    * holding the same rows in the same order. MLlib seeds its bootstrap and
+    * split sampling by partition index, so that copy grows the forest the
+    * lazy frame would, without re-running the feature SQL on each of
+    * MLlib's passes. The test month is scored on the driver.
+    */
+  private[tiering] def run(spark: SparkSession, acc: EnterpriseSim.Account, tiers: Vector[Tier],
+                           hotIdx: Int, trainT0s: Seq[Int], testT0: Int, horizon: Int,
+                           lags: Int, seed: Long, hotBias: Double): Run = {
+    require(trainT0s.nonEmpty, "trainT0s must name at least one training month")
+    require(tiers.indices.contains(hotIdx), s"hotIdx $hotIdx is not an index of tiers (${tiers.size})")
+    require(horizon >= 1, s"horizon must be at least 1, got $horizon")
+    require(lags >= 1, s"lags must be at least 1, got $lags")
+    require(trainT0s.forall(_ < testT0), "training windows must precede the test window")
+    val log   = TierFeatures.accessLogDF(spark, acc)
+    val train = trainT0s.map(t0 => labelledOn(log, acc, tiers, hotIdx, t0, horizon, lags))
+      .reduce(_ unionAll _)
+    val test  = labelledOn(log, acc, tiers, hotIdx, testT0, horizon, lags)
+
+    val assembler = new VectorAssembler()
+      .setInputCols(TierFeatures.featureCols(lags).toArray).setOutputCol("features")
+    // Exactly the columns the forest reads: AQE coalesces this plan's
+    // shuffles as it does inside MLlib, where a wider frame would not.
+    val input = assembler.transform(train).select(col("label"), col("features"))
+    val scored = assembler.transform(test).select(col("dataset_id"), col("features"),
+      col("label").cast("int"))
+    val Vector(trainParts, testParts) =
+      Concurrently.run(Seq(input, scored).map(df => () => df.rdd.glom().collect())).map(_.get)
+    val held = spark.sparkContext.parallelize(trainParts.toSeq, trainParts.length).flatMap(_.iterator)
+    val forest = new RandomForestClassifier()
+      .setNumTrees(80).setMaxDepth(10).setSeed(seed)
+      .fit(spark.createDataFrame(held, input.schema))
+    val scores = testParts.toVector.flatten.map { case Row(id: Int, v: MLVector, label: Int) =>
+      Score(id, forest.predictProbability(v), forest.predict(v).toInt, label)
+    }
 
     // New ingests (no history at testT0) cannot be predicted from lags; the
     // platform default for fresh data is Hot (the paper estimates them from
     // domain knowledge instead of the RF).
     val createdAt = acc.datasets.map(d => d.id -> d.createdMonth).toMap
-    val pred = rows.map { r =>
-      val id = r.getInt(0)
+    val pred = scores.map { s =>
       val cls =
-        if (createdAt(id) >= testT0) hotIdx
+        if (createdAt(s.datasetId) >= testT0) hotIdx
         else if (tiers.length == 2) {
-          val pHot = r.getAs[org.apache.spark.ml.linalg.Vector]("probability")(hotIdx)
-          if (pHot >= hotBias) hotIdx else 1 - hotIdx
-        } else r.getInt(2)
-      (id, cls, r.getInt(3))
+          if (s.probability(hotIdx) >= hotBias) hotIdx else 1 - hotIdx
+        } else s.prediction
+      (s.datasetId, cls, s.label)
     }
     val predicted = pred.map { case (id, cls, _) => id -> cls }.toMap
     val counts = pred.groupBy { case (_, cls, lbl) => (cls, lbl) }
       .view.mapValues(_.length.toLong).toMap
-    (predicted, Confusion(tiers.map(_.name), counts))
+    Run(forest, scores, predicted, Confusion(tiers.map(_.name), counts))
   }
 }
