@@ -106,31 +106,20 @@ object ComPredict {
     (raw, feats)
   }
 
-  private def labelled(tag: String, raw: Array[Byte], feats: Array[Double], codec: Codec): Example = {
-    val meas = CompressionMeasure.measureBytes(raw, codec)
-    Example(tag, feats, meas.ratio, meas.decompSecPerGB)
-  }
-
-  /** Builds labelled examples from samples for one (layout, codec):
-    * features of the given kind, targets measured with the real codec.
+  /** Labelled examples for each of `codecs`, by codec name, in sample
+    * order: features of the given kind, targets measured with the real
+    * codec. Each sample is serialized in `layout` and featurized once, and
+    * its codecs are measured on those bytes on the driver, one sample after
+    * another.
     */
-  def buildExamples(samples: Seq[Sampling.Sample], layout: Layout, codec: Codec,
-                    featureKind: Features.Kind = Features.Entropy): Vector[Example] =
-    samples.iterator.map { s =>
-      val (raw, feats) = featurize(s.rows, s.schema, layout, featureKind)
-      labelled(s.tag, raw, feats, codec)
-    }.toVector
-
-  /** `buildExamples` for every compressing codec, by codec name, with
-    * entropy features. Each sample is serialized and featurized once; the
-    * codecs are then measured one after another on the driver.
-    */
-  def codecExamples(samples: Seq[Sampling.Sample], layout: Layout): Map[String, Vector[Example]] = {
-    val prepared = samples.map(s => (s.tag, featurize(s.rows, s.schema, layout, Features.Entropy)))
-    Codecs.compressing.map { c =>
-      c.name -> prepared.iterator.map { case (tag, (raw, feats)) => labelled(tag, raw, feats, c) }
-        .toVector
-    }.toMap
+  def examplesByCodec(samples: Seq[Sampling.Sample], layout: Layout, codecs: Seq[Codec],
+                      kind: Features.Kind): Map[String, Vector[Example]] = {
+    val perSample = samples.map { s =>
+      val (raw, feats) = featurize(s.rows, s.schema, layout, kind)
+      CompressionMeasure.codecPerfs(raw, codecs)
+        .map(m => Example(s.tag, feats, m.ratio, m.decompSecPerGB))
+    }
+    codecs.zipWithIndex.map { case (c, k) => c.name -> perSample.map(_(k)).toVector }.toMap
   }
 
   /** Fit on an explicit training set, compute metrics on an explicit test
@@ -173,7 +162,7 @@ object ComPredict {
   }
 
   /** Fits a [[PerfPredictor]] on labelled examples by codec name (as
-    * [[codecExamples]] gives them). The ratio and decompression models of
+    * [[examplesByCodec]] gives them). The ratio and decompression models of
     * every compressing codec, six fits, run concurrently, one driver thread
     * each, so their small MLlib jobs overlap.
     */
@@ -191,7 +180,7 @@ object ComPredict {
   }
 
   /** Trains a [[PerfPredictor]] over all compressing codecs for one layout:
-    * [[codecExamples]] measures the codecs on the driver, then
+    * [[examplesByCodec]] measures the codecs on the driver, then
     * [[fitPredictor]] fits the models concurrently.
     *
     * @throws IllegalArgumentException if there are fewer than 2 samples
@@ -199,6 +188,7 @@ object ComPredict {
   def trainPredictor(samples: Seq[Sampling.Sample], layout: Layout,
                      model: Model = randomForest()): PerfPredictor = {
     require(samples.size >= 2, s"COMPREDICT needs at least 2 training samples, got ${samples.size}")
-    fitPredictor(codecExamples(samples, layout), layout, model)
+    val examples = examplesByCodec(samples, layout, Codecs.compressing, Features.Entropy)
+    fitPredictor(examples, layout, model)
   }
 }

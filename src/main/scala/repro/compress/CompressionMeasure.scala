@@ -1,6 +1,7 @@
 package repro.compress
 
 import org.apache.spark.sql.Row
+import repro.core.CodecPerf
 
 /** Measured compression performance of one (sample, layout, codec):
   * ground truth for COMPREDICT training and for the "ground truth
@@ -24,6 +25,19 @@ object CompressionMeasure {
   def measureRows(rows: Seq[Row], layout: Layout, codec: Codec, reps: Int = 3): CompMeasurement = {
     val raw = layout.serialize(rows)
     measureBytes(raw, codec, reps)
+  }
+
+  /** The performance of each of `codecs` on one serialized sample, in
+    * order: every codec is measured on these same bytes.
+    *
+    * @throws IllegalArgumentException if `raw` is empty, which has no ratio
+    */
+  def codecPerfs(raw: Array[Byte], codecs: Seq[Codec]): Vector[CodecPerf] = {
+    require(raw.nonEmpty, "cannot measure codecs on an empty sample")
+    codecs.iterator.map { c =>
+      val m = measureBytes(raw, c)
+      CodecPerf(m.ratio, m.decompSecPerGB)
+    }.toVector
   }
 
   /** Measures a pre-serialized buffer. */

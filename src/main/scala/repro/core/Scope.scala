@@ -36,28 +36,25 @@ object Scope {
       tables.find(t => fileId >= t.fileOffset && fileId < t.fileOffset + t.nFiles)
         .getOrElse(throw new IllegalArgumentException(s"no table owns file $fileId"))
 
-    /** Collects up to `cap` rows of a partition (all of whose files belong
-      * to one table, since query families never span tables). The sample is
-      * the partition's files in ascending id order, each file's rows in rank
-      * order (sort column, then input order), concatenated and cut at `cap`.
+    /** Samples of many partitions (all of whose files belong to one table,
+      * since query families never span tables), from one Spark job. A
+      * partition's sample holds its files in ascending id order, each file's
+      * rows in rank order (sort column, then input order), concatenated and
+      * cut at `cap`, with the table's schema without `file_id`. Only the
+      * files a sample can reach are read: a partition's files in ascending
+      * order until the catalog rows before a file reach `cap`.
       */
-    def sampleRows(part: Part, cap: Int): (IndexedSeq[Row], StructType) = {
-      val t = tableOfFile(part.files.head)
-      (sampleParts(Seq(part), cap).head, StructType(t.df.schema.filterNot(_.name == "file_id")))
-    }
-
-    /** The `sampleRows` samples of many partitions, from one Spark job. Only
-      * the files a sample can reach are read: a partition's files in
-      * ascending order until the catalog rows before a file reach `cap`.
-      */
-    def sampleParts(parts: Seq[Part], cap: Int): Vector[IndexedSeq[Row]] = {
+    def sampleParts(parts: Seq[Part], cap: Int): Vector[Sampling.Sample] = {
       val reached = parts.flatMap { p =>
         val fs = p.files.toVector
         fs.zip(fs.scanLeft(0L)(_ + catalog.rows(_))).takeWhile(_._2 < cap).map(_._1)
       }.distinct
       val heads = fileHeads(reached, cap)
-      parts.map(p => p.files.iterator.flatMap(f => heads.getOrElse(f, Vector.empty)).take(cap)
-        .toIndexedSeq).toVector
+      parts.map { p =>
+        val rows = p.files.iterator.flatMap(f => heads.getOrElse(f, Vector.empty)).take(cap)
+        val schema = tableOfFile(p.files.head).df.schema.filterNot(_.name == "file_id")
+        Sampling.Sample(s"part-${p.id}", rows.toIndexedSeq, StructType(schema))
+      }.toVector
     }
 
     /** The first `cap` rows, in rank order, of each of `files`, by file id. */
@@ -180,15 +177,6 @@ object Scope {
     }
   }
 
-  /** Ground-truth compression performance of a row sample: measured with
-    * the real codecs in the given layout (identity prepended).
-    */
-  private def measuredPerf(rows: IndexedSeq[Row], layout: Layout): Vector[CodecPerf] =
-    CodecPerf.identity +: Codecs.compressing.map { c =>
-      val m = CompressionMeasure.measureRows(rows, layout, c)
-      CodecPerf(m.ratio, m.decompSecPerGB)
-    }
-
   // ---------------------------------------------------------------------
   // Policy variants (rows of Tables IX–XI)
   // ---------------------------------------------------------------------
@@ -270,12 +258,15 @@ object Scope {
     */
   def prepare(lake: DataLake, parts: Vector[Part], bytesScale: Double,
               compression: Boolean, sampleCap: Int): PreparedParts = {
-    // One Spark job collects every sample; the codecs are then timed one
-    // partition at a time on the driver, away from concurrent Spark work.
-    // decompSecPerGB is measured per raw GB; absolute decompression time for
-    // the (scaled) partition follows inside OptAssign.costOf.
+    // One Spark job collects every sample; each is serialized once and its
+    // codecs timed one partition at a time on the driver, away from concurrent
+    // Spark work. decompSecPerGB is measured per raw GB; absolute decompression
+    // time for the (scaled) partition follows inside OptAssign.costOf.
     val perfs =
-      if (compression) lake.sampleParts(parts, sampleCap).map(measuredPerf(_, Layouts.Columnar))
+      if (compression) lake.sampleParts(parts, sampleCap).map { s =>
+        CodecPerf.identity +:
+          CompressionMeasure.codecPerfs(Layouts.Columnar.serialize(s.rows), Codecs.compressing)
+      }
       else parts.map(_ => Vector(CodecPerf.identity))
     val stats = parts.zip(perfs).map { case (p, perf) =>
       PartitionStat(p.id, p.spanBytes(lake.catalog) * bytesScale / 1e9, p.rho, latencySlaSec = 1e7,

@@ -71,7 +71,9 @@ object ExpCompredict {
     * Every configuration is evaluated on the SAME held-out set of
     * query-result samples — the data actually read in production. That is
     * the paper's contrast: a model trained on random row samples badly
-    * mispredicts the compression behaviour of queried data (Fig. 4).
+    * mispredicts the compression behaviour of queried data (Fig. 4). Each
+    * (sample set, feature kind) is measured once, so the held-out labels
+    * are timed once per feature kind and shared by that kind's rows.
     */
   def tableV(spark: SparkSession, sf: Double, queriesPerTable: Int, maxRows: Int,
              seed: Long = 5): Vector[TableVRow] = {
@@ -83,41 +85,38 @@ object ExpCompredict {
     val (qTest, qTrain) = shuffledQ.splitAt(nTest)
     val rf = ComPredict.randomForest()
 
-    def eval(trainSrc: Seq[Sampling.Sample], kind: Features.Kind,
-             target: Example => Double): RegMetrics = {
-      val train = ComPredict.buildExamples(trainSrc, Layouts.RowCsv, Codecs.Gzip, kind)
-      val test  = ComPredict.buildExamples(qTest, Layouts.RowCsv, Codecs.Gzip, kind)
-      ComPredict.fitEval(train, test, target, rf)._2
-    }
-
-    Vector(
-      TableVRow("Compression Ratio", "Random Samples", "Weighted Entropy",
-        eval(rSamples, Features.Entropy, _.ratio)),
-      TableVRow("Compression Ratio", "Queries", "Size", eval(qTrain, Features.Size, _.ratio)),
-      TableVRow("Compression Ratio", "Queries", "Weighted Entropy",
-        eval(qTrain, Features.Entropy, _.ratio)),
-      TableVRow("Decompression Speed", "Random Samples", "Weighted Entropy",
-        eval(rSamples, Features.Entropy, _.decompSecPerGB)),
-      TableVRow("Decompression Speed", "Queries", "Size",
-        eval(qTrain, Features.Size, _.decompSecPerGB)),
-      TableVRow("Decompression Speed", "Queries", "Weighted Entropy",
-        eval(qTrain, Features.Entropy, _.decompSecPerGB)),
-    )
+    def gzip(ss: Seq[Sampling.Sample], kind: Features.Kind): Vector[Example] =
+      ComPredict.examplesByCodec(ss, Layouts.RowCsv, Seq(Codecs.Gzip), kind)(Codecs.Gzip.name)
+    val (testSize, testEntropy) = (gzip(qTest, Features.Size), gzip(qTest, Features.Entropy))
+    val configs = Vector(
+      ("Random Samples", "Weighted Entropy", gzip(rSamples, Features.Entropy), testEntropy),
+      ("Queries", "Size", gzip(qTrain, Features.Size), testSize),
+      ("Queries", "Weighted Entropy", gzip(qTrain, Features.Entropy), testEntropy))
+    val targets = Vector[(String, Example => Double)](
+      ("Compression Ratio", _.ratio), ("Decompression Speed", _.decompSecPerGB))
+    for ((target, label) <- targets; (data, features, train, test) <- configs)
+      yield TableVRow(target, data, features, ComPredict.fitEval(train, test, label, rf)._2)
   }
 
   final case class GridRow(model: String, scheme: String, m: RegMetrics)
 
-  /** Tables VI–VIII core: evaluate `models` x `schemes` on one target over
-    * pre-built samples.
+  /** Tables VI–VIII core: evaluate `models` x `schemes` over pre-built
+    * samples, one grid per target. Each layout's samples are serialized and
+    * featurized once and measured with only that layout's codecs, and every
+    * target is scored on those same examples.
     */
   def modelGrid(samples: Seq[Sampling.Sample], schemes: Seq[(String, Layout, Codec)],
-                target: Example => Double, seed: Long = 7): Vector[GridRow] = {
+                targets: Seq[Example => Double], seed: Long = 7): Vector[Vector[GridRow]] = {
     val models = ComPredict.allModels(seed)
-    schemes.iterator.flatMap { case (label, layout, codec) =>
-      val examples = ComPredict.buildExamples(samples, layout, codec)
-      models.map { m =>
-        GridRow(m.name, label, ComPredict.trainEval(examples, target, m)._2)
-      }
+    val byLayout = schemes.map(_._2).distinct.map { layout =>
+      layout -> ComPredict.examplesByCodec(samples, layout,
+        schemes.collect { case (_, `layout`, codec) => codec }, Features.Entropy)
+    }.toMap
+    targets.map { target =>
+      schemes.flatMap { case (label, layout, codec) =>
+        val examples = byLayout(layout)(codec.name)
+        models.map(m => GridRow(m.name, label, ComPredict.trainEval(examples, target, m)._2))
+      }.toVector
     }.toVector
   }
 
@@ -127,17 +126,18 @@ object ExpCompredict {
   def tableVI(spark: SparkSession, sf: Double, queriesPerTable: Int, maxRows: Int,
               seed: Long = 6): Vector[GridRow] = {
     val samples = querySamples(spark, sf, skew = false, queriesPerTable, maxRows, seed)
-    modelGrid(samples, schemeGrid, _.ratio)
+    modelGrid(samples, schemeGrid, Seq(_.ratio)).head
   }
 
   /** Tables VII (ratio) and VIII (decompression sec/GB): gzip and
     * parquet+gzip, on the uniform ("TPC-H 100GB" stand-in) and the
-    * Zipf-skew datasets.
+    * Zipf-skew datasets. Both tables come from one set of measured examples.
     */
   def tableVII_VIII(spark: SparkSession, sf: Double, queriesPerTable: Int, maxRows: Int,
                     skew: Boolean, seed: Long = 8): (Vector[GridRow], Vector[GridRow]) = {
     val samples = querySamples(spark, sf, skew, queriesPerTable, maxRows, seed)
     val schemes = schemeGrid.filter(s => s._1 == "gzip" || s._1 == "parquet+gzip")
-    (modelGrid(samples, schemes, _.ratio), modelGrid(samples, schemes, _.decompSecPerGB))
+    val grids = modelGrid(samples, schemes, Seq(_.ratio, _.decompSecPerGB))
+    (grids(0), grids(1))
   }
 }

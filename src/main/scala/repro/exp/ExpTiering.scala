@@ -68,8 +68,9 @@ object ExpTiering {
     }
 
   /** Table III: out-of-time RF tier prediction (Hot/Cool, 2-month horizon)
-    * on the ~760-dataset account. Returns the confusion matrix and the
-    * per-dataset predicted tiers (reused by Table IV's "Predicted" rows).
+    * on the ~760-dataset account. Returns the confusion matrix, the
+    * per-dataset predicted tiers and the account. `tableIV` does not reuse
+    * them: its 2-month "Predicted" row makes the same `trainEval` call again.
     */
   def tableIII(spark: SparkSession, seed: Long = 77): (AccessPredictor.Confusion, Map[Int, Int],
       EnterpriseSim.Account) = {

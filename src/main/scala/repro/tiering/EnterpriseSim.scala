@@ -74,11 +74,10 @@ object EnterpriseSim {
 
   /** Generates one account.
     *
-    * @param nDatasets number of datasets
-    * @param totalPB   total account volume in petabytes (sizes rescaled to hit it)
-    * @param nMonths   timeline length (history + projection horizon)
-    */
-  /** @param maxCreatedMonth cap on creation months (exclusive); None allows
+    * @param nDatasets       number of datasets
+    * @param totalPB         total account volume in petabytes (sizes rescaled to hit it)
+    * @param nMonths         timeline length (history + projection horizon)
+    * @param maxCreatedMonth cap on creation months (exclusive); None allows
     *                        ingestion throughout the timeline (Table II
     *                        accounts), Some(m) makes every dataset an
     *                        established one (Table III/IV predictor account,

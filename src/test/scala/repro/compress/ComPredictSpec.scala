@@ -50,24 +50,41 @@ class ComPredictSpec extends AnyFunSuite with SparkSpec {
     assert(names.head == "Averaging" && names.last == "Random Forest" && names.length == 4)
   }
 
-  test("buildExamples measures real codecs: repetitive samples get higher ratios") {
+  test("examplesByCodec measures real codecs: repetition raises the ratio") {
     import spark.implicits._
     val rep = (1 to 400).map(_ => ("aaaa", "bbbb")).toDF("x", "y")
     val div = (1 to 400).map(i => (s"x$i${i * 31}", s"y$i${i * 17}")).toDF("x", "y")
     val sRep = Sampling.Sample("rep", rep.collect().toVector, rep.schema)
     val sDiv = Sampling.Sample("div", div.collect().toVector, div.schema)
-    val ex = ComPredict.buildExamples(Seq(sRep, sDiv), Layouts.RowCsv, Codecs.Gzip)
+    val ex = ComPredict.examplesByCodec(Seq(sRep, sDiv), Layouts.RowCsv, Seq(Codecs.Gzip),
+      Features.Entropy)(Codecs.Gzip.name)
     assert(ex.find(_.tag == "rep").get.ratio > ex.find(_.tag == "div").get.ratio)
   }
 
-  test("buildExamples feature kinds change the feature dimensionality") {
+  test("examplesByCodec ratios equal measureRows per codec, in both layouts") {
+    val orders = SynthData.orders(spark, sf = 0.002)
+    val rows = orders.collect().toVector
+    val samples = Seq(Sampling.Sample("a", rows.take(300), orders.schema),
+      Sampling.Sample("b", rows.slice(300, 900), orders.schema))
+    for (layout <- Seq(Layouts.RowCsv, Layouts.Columnar)) {
+      val ex = ComPredict.examplesByCodec(samples, layout, Codecs.compressing, Features.Entropy)
+      for (c <- Codecs.compressing) {
+        assert(ex(c.name).map(_.tag) == Seq("a", "b"))
+        assert(ex(c.name).map(_.ratio) ==
+          samples.map(s => CompressionMeasure.measureRows(s.rows, layout, c).ratio), s"$layout $c")
+      }
+    }
+  }
+
+  test("examplesByCodec feature kinds change the feature dimensionality") {
     import spark.implicits._
     val df = (1 to 50).map(i => (i, s"s$i")).toDF("a", "b")
     val s = Sampling.Sample("t", df.collect().toVector, df.schema)
-    val sized = ComPredict.buildExamples(Seq(s), Layouts.RowCsv, Codecs.Lz4, Features.Size)
-    val ent   = ComPredict.buildExamples(Seq(s), Layouts.RowCsv, Codecs.Lz4, Features.Entropy)
-    assert(sized.head.features.length == 2)
-    assert(ent.head.features.length == 2 + Features.dtypeUniverse.length)
+    def features(kind: Features.Kind) =
+      ComPredict.examplesByCodec(Seq(s), Layouts.RowCsv, Seq(Codecs.Lz4), kind)(Codecs.Lz4.name)
+        .head.features
+    assert(features(Features.Size).length == 2)
+    assert(features(Features.Entropy).length == 2 + Features.dtypeUniverse.length)
   }
 
   test("trainEval refuses tiny datasets") {

@@ -26,6 +26,14 @@ class CompressionMeasureSpec extends AnyFunSuite {
     assert(s.decompSecPerGB < g.decompSecPerGB)
   }
 
+  test("codecPerfs measures each codec on the same bytes, in order, and rejects no bytes") {
+    val raw = ("repetition! " * 2000).getBytes
+    val perfs = CompressionMeasure.codecPerfs(raw, Codecs.compressing)
+    assert(perfs.map(_.ratio) == Codecs.compressing.map(CompressionMeasure.measureBytes(raw, _).ratio))
+    val e = intercept[IllegalArgumentException](CompressionMeasure.codecPerfs(Array.empty, Codecs.compressing))
+    assert(e.getMessage.contains("empty sample"))
+  }
+
   test("measureRows on an empty partition set yields empty serialization") {
     val m = CompressionMeasure.measureRows(Vector.empty, Layouts.RowCsv, Codecs.SnappyCodec)
     assert(m.rawBytes == 0L)

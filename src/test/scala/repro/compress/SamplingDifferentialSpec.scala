@@ -10,11 +10,12 @@ import org.scalatest.time.SpanSugar._
 import repro.{SparkSpec, SynthData}
 import repro.compress.Sampling.{EqQuery, RangeQuery}
 
-/** `Sampling.generateQueries`, `Sampling.querySamples` and
-  * `ComPredict.trainPredictor` against `SamplingReference`, the per-column
-  * aggregations, per-query `filter(p).limit(n)` scans and sequential
-  * per-codec fits: the same queries, the same sample row sequences and the
-  * same predictions.
+/** `Sampling.generateQueries`, `Sampling.querySamples`,
+  * `ComPredict.examplesByCodec` and `ComPredict.trainPredictor` against
+  * `SamplingReference`, the per-column aggregations, per-query
+  * `filter(p).limit(n)` scans, per-codec example builds and sequential
+  * per-codec fits: the same queries, the same sample row sequences, the same
+  * examples and the same predictions.
   */
 class SamplingDifferentialSpec extends AnyFunSuite with SparkSpec {
 
@@ -136,9 +137,10 @@ class SamplingDifferentialSpec extends AnyFunSuite with SparkSpec {
       .filter(_.rows.size >= 20)
     val (train, test) = samples.splitAt(samples.size - 4)
     assert(train.size >= 8 && test.size == 4)
-    val examples = ComPredict.codecExamples(train, Layouts.RowCsv)
+    val examples = ComPredict.examplesByCodec(train, Layouts.RowCsv, Codecs.compressing, Features.Entropy)
+    assert(examples.keySet == Codecs.compressing.map(_.name).toSet)
     for (c <- Codecs.compressing) {
-      val one = ComPredict.buildExamples(train, Layouts.RowCsv, c)
+      val one = SamplingReference.examples(train, Layouts.RowCsv, c)
       assert(examples(c.name).map(e => (e.tag, e.features.toSeq, e.ratio)) ==
         one.map(e => (e.tag, e.features.toSeq, e.ratio)))
     }

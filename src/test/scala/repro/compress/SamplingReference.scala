@@ -49,12 +49,24 @@ object SamplingReference {
       Sample(q.tag, df.filter(q.predicate).limit(maxRows).collect().toIndexedSeq, df.schema)
     }.filter(_.rows.nonEmpty).toVector
 
+  /** One codec's entropy-feature examples: every sample serialized,
+    * featurized and measured again for each codec.
+    */
+  def examples(samples: Seq[Sample], layout: Layout, codec: Codec): Vector[Example] =
+    samples.iterator.map { s =>
+      val raw = layout.serialize(s.rows)
+      val feats = Features.featureVector(raw.length.toLong, s.rows.length.toLong,
+        Features.weightedEntropyLocal(s.rows, s.schema))
+      val m = CompressionMeasure.measureBytes(raw, codec)
+      Example(s.tag, feats, m.ratio, m.decompSecPerGB)
+    }.toVector
+
   def trainPredictor(samples: Seq[Sample], layout: Layout,
                      model: Model = ComPredict.randomForest()): PerfPredictor = {
     val ratio  = scala.collection.mutable.Map.empty[String, Fitted]
     val decomp = scala.collection.mutable.Map.empty[String, Fitted]
     for (c <- Codecs.compressing) {
-      val ex = ComPredict.buildExamples(samples, layout, c)
+      val ex = examples(samples, layout, c)
       ratio(c.name)  = model.fit(ex.map(_.features), ex.map(_.ratio))
       decomp(c.name) = model.fit(ex.map(_.features), ex.map(_.decompSecPerGB))
     }

@@ -12,7 +12,7 @@ import scala.concurrent.{Await, Future}
 import scala.concurrent.ExecutionContext.Implicits.global
 import scala.concurrent.duration.Duration
 
-/** `Scope.buildLake` and `DataLake.sampleRows` against `LakeReference`, the
+/** `Scope.buildLake` and `DataLake.sampleParts` against `LakeReference`, the
   * `ntile` window build and `filter(isin).limit` sampler: the same rows in
   * the same files, the same catalog and the same sample row sequences.
   */
@@ -68,14 +68,13 @@ class LakeDifferentialSpec extends AnyFunSuite with SparkSpec {
     assert(lake.catalog == ref.catalog)
   }
 
-  test("sampleRows returns the reference sampler's row sequence") {
+  test("sampleParts returns the reference sampler's row sequences") {
     // 100 rows stop inside a file; 2,500 cross a file boundary; 100,000
     // take whole partitions.
-    for (cap <- Seq(1, 100, 2500, 100000); p <- parts) {
-      val (rows, schema) = lake.sampleRows(p, cap)
+    for (cap <- Seq(1, 100, 2500, 100000); (p, s) <- parts.zip(lake.sampleParts(parts, cap))) {
       val (refRows, refSchema) = LakeReference.sampleRows(ref, p, cap)
-      assert(schema == refSchema)
-      assert(rows == refRows, s"part ${p.files.mkString(",")} at cap $cap")
+      assert(s.schema == refSchema)
+      assert(s.rows == refRows, s"part ${p.files.mkString(",")} at cap $cap")
     }
   }
 
@@ -103,7 +102,7 @@ class LakeDifferentialSpec extends AnyFunSuite with SparkSpec {
       // sampling jobs before it.
       eventually(timeout(30.seconds)) { assert(marker.get == 1) }
       assert(jobs.get == 1)
-      assert(samples == parts.map(p => LakeReference.sampleRows(ref, p, 2500)._1))
+      assert(samples.map(_.rows) == parts.map(p => LakeReference.sampleRows(ref, p, 2500)._1))
     } finally {
       sc.clearJobGroup()
       sc.removeSparkListener(listener)

@@ -3,6 +3,7 @@ package repro.core
 import org.apache.spark.sql.functions._
 import org.scalatest.funsuite.AnyFunSuite
 import repro.{Oracle, SparkSpec, SynthData, SynthDataExt}
+import repro.compress.{Codecs, CompressionMeasure, Layouts}
 import repro.partition.GPartConfig
 
 class ScopeSpec extends AnyFunSuite with SparkSpec {
@@ -33,7 +34,7 @@ class ScopeSpec extends AnyFunSuite with SparkSpec {
   test("buildLake: catalog bytes equal the CSV serialization length (cross-check vs local)") {
     val t = lake.tables(1) // customer: small
     val rows = t.df.drop("file_id").collect().toVector
-    val localBytes = repro.compress.Layouts.RowCsv.serialize(rows).length.toLong
+    val localBytes = Layouts.RowCsv.serialize(rows).length.toLong
     val catBytes = (t.fileOffset until t.fileOffset + t.nFiles).map(lake.catalog.bytes).sum
     assert(catBytes == localBytes)
   }
@@ -77,12 +78,12 @@ class ScopeSpec extends AnyFunSuite with SparkSpec {
     assertThrows[IllegalArgumentException] { lake.tableOfFile(99) }
   }
 
-  test("sampleRows returns only rows of the partition's files") {
+  test("sampleParts returns only rows of the partition's files") {
     val part = repro.partition.Part.initial(0, Seq(6, 7), 1.0) // customer files
-    val (rows, schema) = lake.sampleRows(part, cap = 100000)
-    assert(schema.fieldNames.toSeq == SynthData.customer(spark, 0.004).columns.toSeq)
+    val Vector(sample) = lake.sampleParts(Seq(part), cap = 100000)
+    assert(sample.schema.fieldNames.toSeq == SynthData.customer(spark, 0.004).columns.toSeq)
     val expected = lake.catalog.rows(6) + lake.catalog.rows(7)
-    assert(rows.length == expected)
+    assert(sample.rows.length == expected)
   }
 
   test("initialPartitions: per-table families with globally unique ids, scaled frequencies") {
@@ -115,6 +116,9 @@ class ScopeSpec extends AnyFunSuite with SparkSpec {
     assert(perfs.length == 4)
     assert(perfs.head == CodecPerf.identity)
     assert(perfs.tail.forall(_.ratio > 1.0))
+    val Vector(sample) = lake.sampleParts(Seq(part), 1500)
+    assert(perfs.tail.map(_.ratio) ==
+      Codecs.compressing.map(c => CompressionMeasure.measureRows(sample.rows, Layouts.Columnar, c).ratio))
   }
 
   test("prepare scales partition sizes by bytesScale") {

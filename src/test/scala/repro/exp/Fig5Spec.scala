@@ -30,9 +30,8 @@ class Fig5Spec extends AnyFunSuite with SparkSpec {
 
     val truth = Scope.prepare(lake, merged, bytesScale = 100.0, compression = true,
       sampleCap = 1500)
-    val predStats = truth.stats.zip(merged).map { case (s, p) =>
-      val (rows, schema) = lake.sampleRows(p, 1500)
-      s.copy(codecPerfs = predictor.predict(rows, schema))
+    val predStats = truth.stats.zip(lake.sampleParts(merged, 1500)).map { case (st, s) =>
+      st.copy(codecPerfs = predictor.predict(s.rows, s.schema))
     }
 
     // Sweep the alpha/beta trade-off as in Fig 5. Both assignments are
