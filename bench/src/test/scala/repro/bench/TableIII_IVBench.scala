@@ -1,7 +1,9 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.{Assignment, CostModel}
 import repro.exp.ExpTiering
+import repro.tiering.{EnterpriseSim, Tiering}
 
 /** Table III: confusion matrix of the RF tier predictor vs the ideal tier
   * (Hot/Cool, 2-month horizon, ~760 datasets / ~0.7 PB, out-of-time).
@@ -9,9 +11,11 @@ import repro.exp.ExpTiering
   */
 class TableIII_IVBench extends AnyFunSuite with BenchBase {
 
+  private lazy val tables = ExpTiering.tableIII_IV(spark)
+
   test("Table III: predicted vs ideal tier confusion matrix") {
     banner("Table III", "RF tier prediction, out-of-time, 760 datasets (~0.7 PB), 2-month horizon")
-    val (conf, _, _) = ExpTiering.tableIII(spark)
+    val conf = tables.confusion
     println("paper:              ours:")
     println("         Hot  Cool           Hot  Cool")
     val p = Vector(Vector(291, 12), Vector(12, 445))
@@ -39,7 +43,7 @@ class TableIII_IVBench extends AnyFunSuite with BenchBase {
       ("OptAssign (Hot, Cool)", "Known", 6, 15.39),
       ("OptAssign (Hot, Cool, Archive)", "Known", 6, 43.8),
     )
-    val rows = ExpTiering.tableIV(spark)
+    val rows = tables.tableIV
     println(f"${"Model"}%-42s ${"Access"}%-10s ${"Mo"}%3s ${"paper %%"}%8s ${"ours %%"}%8s")
     rows.zip(paper).foreach { case (r, (m, a, mo, pb)) =>
       assert(r.model == m && r.accessInfo == a && r.months == mo)
@@ -55,5 +59,11 @@ class TableIII_IVBench extends AnyFunSuite with BenchBase {
     assert(b("OptAssign (Hot, Cool)", "Predicted", 2) > 0.8 * b("OptAssign (Hot, Cool)", "Known", 2))
     assert(b("OptAssign (Hot, Cool, Archive)", "Known", 6) >
       1.5 * b("OptAssign (Hot, Cool)", "Known", 6))
+    // The 2-month Predicted row bills Table III's tiers.
+    val acc = EnterpriseSim.tableIIIAccount()
+    val known = Tiering.knownAccesses(acc, ExpTiering.T0 + 2, 2)
+    val plan = acc.datasets.map(ds => Assignment(ds.id, tables.predictedTiers(ds.id), 0))
+    assert(b("OptAssign (Hot, Cool)", "Predicted", 2) ==
+      Tiering.benefitPct(Tiering.instance(acc, CostModel.hotCool, 0, 2, known), 0, plan, known))
   }
 }

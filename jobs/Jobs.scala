@@ -31,15 +31,15 @@ object TableII {
 /** Tables III + IV: tier-prediction confusion matrix and baseline comparison. */
 object TableIII_IV {
   def main(args: Array[String]): Unit = {
-    val spark = JobSession.get("tableIII_IV")
-    val (conf, _, _) = ExpTiering.tableIII(spark)
+    val t = ExpTiering.tableIII_IV(JobSession.get("tableIII_IV"))
+    val conf = t.confusion
     println("Confusion matrix (rows = predicted, cols = ideal) " +
       s"labels=${conf.labels.mkString(",")}")
     for (p <- conf.labels.indices)
       println(conf.labels.indices.map(i => f"${conf(p, i)}%6d").mkString(" "))
     println(f"accuracy=${conf.accuracy}%.4f macroF1=${conf.macroF1}%.4f")
     println(f"\n${"Model"}%-42s ${"Access"}%-10s ${"Months"}%6s ${"Benefit"}%9s")
-    ExpTiering.tableIV(spark).foreach(r =>
+    t.tableIV.foreach(r =>
       println(f"${r.model}%-42s ${r.accessInfo}%-10s ${r.months}%6d ${r.benefitPct}%8.2f%%"))
   }
 }

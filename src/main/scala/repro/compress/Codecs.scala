@@ -62,11 +62,8 @@ object Codecs {
       factory.fastDecompressor().decompress(c, rawLen)
   }
 
-  /** The paper's evaluated schemes plus the mandatory no-compression option
-    * (index 0, as OPTASSIGN requires).
+  /** The paper's evaluated compressing schemes. OPTASSIGN puts the
+    * no-compression option before them, at index 0.
     */
-  val all: Vector[Codec] = Vector(Identity, Gzip, SnappyCodec, Lz4)
-
-  /** The compressing schemes only (for COMPREDICT training). */
   val compressing: Vector[Codec] = Vector(Gzip, SnappyCodec, Lz4)
 }

@@ -46,9 +46,6 @@ object CostModel {
   val Cool: Tier    = Tier("Cool", 1.52, 0.0333, 0.0256, 0.0614, 1)
   val Archive: Tier = Tier("Archive", 0.099, 16.64, 0.0256, 3600.0, 6)
 
-  /** All four Azure tiers, index 0 = lowest latency (paper's layer 0). */
-  val azure4: Vector[Tier] = Vector(Premium, Hot, Cool, Archive)
-
   /** Premium/Hot/Cool — the tier set used for Tables IX–XI (Archive is
     * excluded there because of its 6-month early-deletion period vs the
     * 5.5-month billing horizon).

@@ -1,7 +1,7 @@
 package repro.exp
 
 import org.apache.spark.sql.SparkSession
-import repro.core.CostModel
+import repro.core.{Assignment, CostModel, Tier}
 import repro.tiering._
 
 /** Harnesses for the enterprise tiering experiments: Table II (% cost
@@ -54,9 +54,9 @@ object ExpTiering {
     * 6-month (Hot/Cool/Archive) horizons; tiers chosen on projected
     * accesses, billed on actual.
     */
-  def tableII(seed: Long = 42): Vector[TableIIRow] =
-    EnterpriseSim.tableIIAccounts(seed).map { acc =>
-      def benefit(horizon: Int, tiers: Vector[repro.core.Tier]): Double = {
+  def tableII(): Vector[TableIIRow] =
+    EnterpriseSim.tableIIAccounts().map { acc =>
+      def benefit(horizon: Int, tiers: Vector[Tier]): Double = {
         val inst   = Tiering.instance(acc, tiers, hotIdx = 0, horizon,
           projectedAccesses(acc, T0, horizon))
         val chosen = Tiering.optAssignTiers(inst)
@@ -67,42 +67,35 @@ object ExpTiering {
         benefit(6, CostModel.hotCoolArchive))
     }
 
-  /** Table III: out-of-time RF tier prediction (Hot/Cool, 2-month horizon)
-    * on the ~760-dataset account. Returns the confusion matrix, the
-    * per-dataset predicted tiers and the account. `tableIV` does not reuse
-    * them: its 2-month "Predicted" row makes the same `trainEval` call again.
-    */
-  def tableIII(spark: SparkSession, seed: Long = 77): (AccessPredictor.Confusion, Map[Int, Int],
-      EnterpriseSim.Account) = {
-    val acc = EnterpriseSim.tableIIIAccount(seed)
-    val (pred, conf) = AccessPredictor.trainEval(spark, acc, CostModel.hotCool, hotIdx = 0,
-      trainT0s = 6 to 13, testT0 = T0 + 2, horizon = 2)
-    (conf, pred, acc)
-  }
-
   final case class TableIVRow(model: String, accessInfo: String, months: Int, benefitPct: Double)
 
-  /** Table IV: % benefit over all-Hot for the caching baselines and
-    * OptAssign with predicted / known access information, across horizons.
-    * All rows are billed against actual accesses from t0 = T0+2 (the same
-    * out-of-time month the predictor is tested on).
+  /** Table III (the confusion matrix and the tier each dataset was
+    * predicted) and Table IV's rows, from one run on one account.
     */
-  def tableIV(spark: SparkSession, seed: Long = 77): Vector[TableIVRow] = {
-    val acc = EnterpriseSim.tableIIIAccount(seed)
+  final case class TableIII_IV(confusion: AccessPredictor.Confusion, predictedTiers: Map[Int, Int],
+                               tableIV: Vector[TableIVRow])
+
+  /** Tables III and IV on the ~760-dataset account. Table III is the
+    * out-of-time RF tier prediction (Hot/Cool, 2-month horizon). Table IV
+    * is the % benefit over all-Hot of the caching baselines and of
+    * OPTASSIGN with predicted or known accesses, across horizons; its
+    * 2-month "Predicted" row bills Table III's tiers. Every row is billed
+    * against actual accesses from t0 = T0+2, the month the predictor is
+    * tested on. The forest is fitted once per predicted horizon (2 and 4).
+    */
+  def tableIII_IV(spark: SparkSession): TableIII_IV = {
+    val acc = EnterpriseSim.tableIIIAccount()
     val t0  = T0 + 2
     val hotCool = CostModel.hotCool
+    val known = Seq(2, 4, 6).map(h => h -> Tiering.knownAccesses(acc, t0, h)).toMap
 
-    def inst(horizon: Int, tiers: Vector[repro.core.Tier]) =
-      Tiering.instance(acc, tiers, hotIdx = 0, horizon, Tiering.knownAccesses(acc, t0, horizon))
-    def billed(horizon: Int) = Tiering.knownAccesses(acc, t0, horizon)
+    def inst(horizon: Int, tiers: Vector[Tier]) =
+      Tiering.instance(acc, tiers, hotIdx = 0, horizon, known(horizon))
+    def benefitOf(assignment: Vector[Assignment], horizon: Int, tiers: Vector[Tier]): Double =
+      Tiering.benefitPct(inst(horizon, tiers), hotIdx = 0, assignment, known(horizon))
 
-    def rfPredictedTiers(horizon: Int): Map[Int, Int] =
-      AccessPredictor.trainEval(spark, acc, hotCool, hotIdx = 0,
-        trainT0s = 6 to 13, testT0 = t0, horizon = horizon)._1
-
-    def benefitOf(assignment: Vector[repro.core.Assignment], horizon: Int,
-                  tiers: Vector[repro.core.Tier]): Double =
-      Tiering.benefitPct(inst(horizon, tiers), hotIdx = 0, assignment, billed(horizon))
+    val predicted = Seq(2, 4).map(h => h -> AccessPredictor.trainEval(spark, acc, hotCool, hotIdx = 0,
+      trainT0s = 6 to 13, testT0 = t0, horizon = h)).toMap
 
     val rows = Vector.newBuilder[TableIVRow]
 
@@ -113,12 +106,11 @@ object ExpTiering {
     rows += TableIVRow("\"Hot\" if data accessed in last 1 mo", "N/A", 4,
       benefitOf(TieringBaselines.hotIfAccessedRecently(acc, 0, 1, t0, 1), 4, hotCool))
     rows += TableIVRow("Use optimal tier of prev. month", "N/A", 2,
-      benefitOf(TieringBaselines.prevMonthOptimal(acc, inst(2, hotCool), 0, t0), 2, hotCool))
+      benefitOf(TieringBaselines.prevMonthOptimal(acc, hotCool, 0, t0), 2, hotCool))
 
     for (h <- Seq(2, 4)) {
-      val pred = rfPredictedTiers(h)
-      val assignment = acc.datasets.map(ds =>
-        repro.core.Assignment(ds.id, pred.getOrElse(ds.id, 0), 0)).toVector
+      val pred = predicted(h)._1
+      val assignment = acc.datasets.map(ds => Assignment(ds.id, pred.getOrElse(ds.id, 0), 0)).toVector
       rows += TableIVRow("OptAssign (Hot, Cool)", "Predicted", h, benefitOf(assignment, h, hotCool))
     }
     for (h <- Seq(2, 4, 6))
@@ -129,6 +121,7 @@ object ExpTiering {
     rows += TableIVRow("OptAssign (Hot, Cool, Archive)", "Known", 6,
       benefitOf(Tiering.optAssignTiers(inst(6, hca)), 6, hca))
 
-    rows.result()
+    val (tiersIII, confusion) = predicted(2)
+    TableIII_IV(confusion, tiersIII, rows.result())
   }
 }

@@ -14,6 +14,18 @@ import repro.core.Tier
   */
 object AccessPredictor {
 
+  /** Monthly read/write lags per feature row. */
+  val Lags = 6
+
+  /** The forest's seed. */
+  val ForestSeed = 13L
+
+  /** Decision threshold on P(hot) for the 2-tier case. A false-cool (hot
+    * data cooled) pays per-access read premiums, a false-hot only the
+    * storage delta, so the cost-sensitive threshold sits below 0.5.
+    */
+  val HotBias = 0.4
+
   /** Row-normalized confusion counts keyed by (predictedTier, idealTier). */
   final case class Confusion(labels: Vector[String], counts: Map[(Int, Int), Long]) {
     def apply(pred: Int, ideal: Int): Long = counts.getOrElse((pred, ideal), 0L)
@@ -45,15 +57,11 @@ object AccessPredictor {
     Tiering.optAssignTiers(inst).map(a => a.id -> a.tier).toMap
   }
 
-  /** Labelled feature frame at t0 (features strictly before t0, label from
-    * [t0, t0+horizon) — no leakage).
+  /** Labelled feature frame at t0 from the access `log` (features strictly
+    * before t0, label from [t0, t0+horizon) — no leakage).
     */
-  def labelled(spark: SparkSession, acc: EnterpriseSim.Account, tiers: Vector[Tier],
-               hotIdx: Int, t0: Int, horizon: Int, lags: Int = 6): DataFrame =
-    labelledOn(TierFeatures.accessLogDF(spark, acc), acc, tiers, hotIdx, t0, horizon, lags)
-
-  private def labelledOn(log: DataFrame, acc: EnterpriseSim.Account, tiers: Vector[Tier],
-                         hotIdx: Int, t0: Int, horizon: Int, lags: Int): DataFrame = {
+  private[tiering] def labelled(log: DataFrame, acc: EnterpriseSim.Account, tiers: Vector[Tier],
+                                hotIdx: Int, t0: Int, horizon: Int, lags: Int): DataFrame = {
     val spark = log.sparkSession
     import spark.implicits._
     val feats = TierFeatures.featuresAt(log, t0, lags)
@@ -69,16 +77,10 @@ object AccessPredictor {
     * `[t0, t0+horizon)`, so the last training labels may share months with
     * the test label (Tables III–IV train on 6..13 and test at 14 with a
     * 2-month horizon).
-    *
-    * @param hotBias decision threshold on P(hot) for the 2-tier case. A
-    *                false-cool (hot data cooled) pays per-access read
-    *                premiums, a false-hot only the storage delta, so the
-    *                cost-sensitive threshold sits below 0.5.
     */
   def trainEval(spark: SparkSession, acc: EnterpriseSim.Account, tiers: Vector[Tier],
-                hotIdx: Int, trainT0s: Seq[Int], testT0: Int, horizon: Int,
-                lags: Int = 6, seed: Long = 13, hotBias: Double = 0.4): (Map[Int, Int], Confusion) = {
-    val r = run(spark, acc, tiers, hotIdx, trainT0s, testT0, horizon, lags, seed, hotBias)
+                hotIdx: Int, trainT0s: Seq[Int], testT0: Int, horizon: Int): (Map[Int, Int], Confusion) = {
+    val r = run(spark, acc, tiers, hotIdx, trainT0s, testT0, horizon)
     (r.predicted, r.confusion)
   }
 
@@ -93,20 +95,18 @@ object AccessPredictor {
     * MLlib's passes. The test month is scored on the driver.
     */
   private[tiering] def run(spark: SparkSession, acc: EnterpriseSim.Account, tiers: Vector[Tier],
-                           hotIdx: Int, trainT0s: Seq[Int], testT0: Int, horizon: Int,
-                           lags: Int, seed: Long, hotBias: Double): Run = {
+                           hotIdx: Int, trainT0s: Seq[Int], testT0: Int, horizon: Int): Run = {
     require(trainT0s.nonEmpty, "trainT0s must name at least one training month")
     require(tiers.indices.contains(hotIdx), s"hotIdx $hotIdx is not an index of tiers (${tiers.size})")
     require(horizon >= 1, s"horizon must be at least 1, got $horizon")
-    require(lags >= 1, s"lags must be at least 1, got $lags")
     require(trainT0s.forall(_ < testT0), "training windows must precede the test window")
     val log   = TierFeatures.accessLogDF(spark, acc)
-    val train = trainT0s.map(t0 => labelledOn(log, acc, tiers, hotIdx, t0, horizon, lags))
+    val train = trainT0s.map(t0 => labelled(log, acc, tiers, hotIdx, t0, horizon, Lags))
       .reduce(_ unionAll _)
-    val test  = labelledOn(log, acc, tiers, hotIdx, testT0, horizon, lags)
+    val test  = labelled(log, acc, tiers, hotIdx, testT0, horizon, Lags)
 
     val assembler = new VectorAssembler()
-      .setInputCols(TierFeatures.featureCols(lags).toArray).setOutputCol("features")
+      .setInputCols(TierFeatures.featureCols().toArray).setOutputCol("features")
     // Exactly the columns the forest reads: AQE coalesces this plan's
     // shuffles as it does inside MLlib, where a wider frame would not.
     val input = assembler.transform(train).select(col("label"), col("features"))
@@ -116,7 +116,7 @@ object AccessPredictor {
       Concurrently.run(Seq(input, scored).map(df => () => df.rdd.glom().collect())).map(_.get)
     val held = spark.sparkContext.parallelize(trainParts.toSeq, trainParts.length).flatMap(_.iterator)
     val forest = new RandomForestClassifier()
-      .setNumTrees(80).setMaxDepth(10).setSeed(seed)
+      .setNumTrees(80).setMaxDepth(10).setSeed(ForestSeed)
       .fit(spark.createDataFrame(held, input.schema))
     val scores = testParts.toVector.flatten.map { case Row(id: Int, v: MLVector, label: Int) =>
       Score(id, forest.predictProbability(v), forest.predict(v).toInt, label)
@@ -130,7 +130,7 @@ object AccessPredictor {
       val cls =
         if (createdAt(s.datasetId) >= testT0) hotIdx
         else if (tiers.length == 2) {
-          if (s.probability(hotIdx) >= hotBias) hotIdx else 1 - hotIdx
+          if (s.probability(hotIdx) >= HotBias) hotIdx else 1 - hotIdx
         } else s.prediction
       (s.datasetId, cls, s.label)
     }

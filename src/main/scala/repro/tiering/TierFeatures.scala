@@ -23,7 +23,7 @@ object TierFeatures {
     * last `lags` monthly read/write counts (read_lag_1 = month t0-1, ...).
     * Pure Catalyst: filter + pivot-style conditional aggregation.
     */
-  def featuresAt(log: DataFrame, t0: Int, lags: Int = 6): DataFrame = {
+  def featuresAt(log: DataFrame, t0: Int, lags: Int = AccessPredictor.Lags): DataFrame = {
     val lagCols = (1 to lags).flatMap { k =>
       Seq(
         sum(when(col("month") === t0 - k, col("reads")).otherwise(0.0)) as s"read_lag_$k",
@@ -40,7 +40,7 @@ object TierFeatures {
   }
 
   /** Feature column names produced by [[featuresAt]] (model input order). */
-  def featureCols(lags: Int = 6): Seq[String] =
+  def featureCols(lags: Int = AccessPredictor.Lags): Seq[String] =
     Seq("size_gb", "age_months") ++
       (1 to lags).flatMap(k => Seq(s"read_lag_$k", s"write_lag_$k"))
 }

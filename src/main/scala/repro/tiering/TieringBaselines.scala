@@ -1,6 +1,6 @@
 package repro.tiering
 
-import repro.core.{Assignment, OptAssignInstance}
+import repro.core.{Assignment, OptAssignInstance, Tier}
 
 /** The intuitive / caching-inspired tiering baselines of Table IV.
   * Each returns a tier assignment over the instance's datasets; benefits
@@ -26,15 +26,15 @@ object TieringBaselines {
       Assignment(ds.id, if (recent > 0) hotIdx else coolIdx, 0)
     }.toVector
 
-  /** Row 4: reuse last month's optimal tier — OPTASSIGN run on the single
-    * month before t0 as if it predicted the future.
+  /** Row 4: reuse last month's optimal tier — OPTASSIGN over `tiers` run on
+    * the single month before t0 as if it predicted the future.
     */
-  def prevMonthOptimal(acc: EnterpriseSim.Account, inst: OptAssignInstance,
+  def prevMonthOptimal(acc: EnterpriseSim.Account, tiers: Vector[Tier],
                        hotIdx: Int, t0: Int): Vector[Assignment] = {
     val prevAccesses = acc.datasets.map { ds =>
       ds.id -> (if (t0 >= 1) ds.reads(t0 - 1) else 0.0)
     }.toMap
-    val prevInst = Tiering.instance(acc, inst.tiers.toVector, hotIdx, 1, prevAccesses)
+    val prevInst = Tiering.instance(acc, tiers, hotIdx, 1, prevAccesses)
     Tiering.optAssignTiers(prevInst)
   }
 }

@@ -7,6 +7,10 @@ class SamplingSpec extends AnyFunSuite with SparkSpec {
 
   private lazy val orders = SynthData.orders(spark, sf = 0.005).cache()
 
+  // Every suite shares one session: a frame left cached here stays cached for
+  // later suites that cache the same plan.
+  override def afterAll(): Unit = try orders.unpersist() finally super.afterAll()
+
   test("generateQueries is deterministic in the seed") {
     val a = Sampling.generateQueries(orders, 10, seed = 70).map(_.tag)
     val b = Sampling.generateQueries(orders, 10, seed = 70).map(_.tag)

@@ -4,6 +4,9 @@ import org.scalatest.funsuite.AnyFunSuite
 
 class CostModelSpec extends AnyFunSuite {
 
+  /** All four Azure tiers, index 0 = lowest latency (paper's layer 0). */
+  private val azure4 = Vector(CostModel.Premium, CostModel.Hot, CostModel.Cool, CostModel.Archive)
+
   test("Table I storage costs (cents/GB/month)") {
     assert(CostModel.Premium.storageCentsPerGBMonth == 15.0)
     assert(CostModel.Hot.storageCentsPerGBMonth == 2.08)
@@ -19,17 +22,17 @@ class CostModelSpec extends AnyFunSuite {
   }
 
   test("storage cost strictly decreases from Premium to Archive") {
-    val s = CostModel.azure4.map(_.storageCentsPerGBMonth)
+    val s = azure4.map(_.storageCentsPerGBMonth)
     assert(s == s.sorted.reverse && s.distinct.length == 4)
   }
 
   test("read cost strictly increases from Premium to Archive (the paper's tradeoff)") {
-    val r = CostModel.azure4.map(_.readCentsPerGB)
+    val r = azure4.map(_.readCentsPerGB)
     assert(r == r.sorted && r.distinct.length == 4)
   }
 
   test("TTFB is non-decreasing across tiers and Archive is hours") {
-    val t = CostModel.azure4.map(_.ttfbSec)
+    val t = azure4.map(_.ttfbSec)
     assert(t == t.sorted)
     assert(CostModel.Archive.ttfbSec == 3600.0)
   }
@@ -45,25 +48,25 @@ class CostModelSpec extends AnyFunSuite {
   }
 
   test("tier change u == v is free") {
-    for (l <- CostModel.azure4.indices)
-      assert(CostModel.tierChangeCents(CostModel.azure4, l, l, 123.0) == 0.0)
+    for (l <- azure4.indices)
+      assert(CostModel.tierChangeCents(azure4, l, l, 123.0) == 0.0)
   }
 
   test("tier change for new data (-1) is write-only") {
     val gb = 10.0
-    assert(CostModel.tierChangeCents(CostModel.azure4, -1, 1, gb) ==
+    assert(CostModel.tierChangeCents(azure4, -1, 1, gb) ==
       CostModel.Hot.writeCentsPerGB * gb)
   }
 
   test("tier change u -> v = read from u + write to v") {
     val gb = 2.0
-    val c  = CostModel.tierChangeCents(CostModel.azure4, 1, 2, gb)
+    val c  = CostModel.tierChangeCents(azure4, 1, 2, gb)
     assert(math.abs(c - (CostModel.Hot.readCentsPerGB + CostModel.Cool.writeCentsPerGB) * gb) < 1e-12)
   }
 
   test("tier change cost scales linearly in GB") {
-    val c1 = CostModel.tierChangeCents(CostModel.azure4, 0, 3, 1.0)
-    val c5 = CostModel.tierChangeCents(CostModel.azure4, 0, 3, 5.0)
+    val c1 = CostModel.tierChangeCents(azure4, 0, 3, 1.0)
+    val c5 = CostModel.tierChangeCents(azure4, 0, 3, 5.0)
     assert(math.abs(c5 - 5 * c1) < 1e-9)
   }
 
@@ -73,7 +76,7 @@ class CostModelSpec extends AnyFunSuite {
 
   test("moving cold data hot -> archive pays off within a month (sanity of Table II economics)") {
     val save   = (CostModel.Hot.storageCentsPerGBMonth - CostModel.Archive.storageCentsPerGBMonth)
-    val change = CostModel.tierChangeCents(CostModel.azure4, 1, 3, 1.0)
+    val change = CostModel.tierChangeCents(azure4, 1, 3, 1.0)
     assert(save > change)
   }
 }

@@ -2,8 +2,12 @@ package repro.exp
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
+import repro.core.{Assignment, CostModel}
+import repro.tiering.{EnterpriseSim, Tiering}
 
 class ExpTieringSpec extends AnyFunSuite with SparkSpec {
+
+  private lazy val tables = ExpTiering.tableIII_IV(spark)
 
   test("Table II harness: positive benefits, 6-month (with Archive) beats 2-month") {
     val rows = ExpTiering.tableII()
@@ -19,7 +23,7 @@ class ExpTieringSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("Table IV harness: OptAssign dominates caching baselines; Archive and horizon help") {
-    val rows = ExpTiering.tableIV(spark)
+    val rows = tables.tableIV
     def benefit(model: String, info: String, months: Int): Double =
       rows.find(r => r.model == model && r.accessInfo == info && r.months == months).get.benefitPct
 
@@ -41,13 +45,19 @@ class ExpTieringSpec extends AnyFunSuite with SparkSpec {
     assert(pred2 <= known2 + 1e-9 && pred4 <= known4 + 1e-9, "prediction cannot beat hindsight")
     assert(pred2 > known2 * 0.8, "predictions should be near the known-optimal (paper: 9.570 vs 9.574)")
     assert(arch6 > known6, "the Archive tier adds substantial benefit (paper: 43.8% vs 15.39%)")
+
+    // The 2-month Predicted row bills the tiers Table III predicted.
+    val acc   = EnterpriseSim.tableIIIAccount()
+    val known = Tiering.knownAccesses(acc, ExpTiering.T0 + 2, 2)
+    val plan  = acc.datasets.map(ds => Assignment(ds.id, tables.predictedTiers(ds.id), 0))
+    assert(pred2 == Tiering.benefitPct(Tiering.instance(acc, CostModel.hotCool, 0, 2, known), 0, plan, known))
   }
 
   test("Table III harness: high-accuracy confusion matrix on the 760-dataset account") {
-    val (conf, pred, acc) = ExpTiering.tableIII(spark)
+    val conf = tables.confusion
     assert(conf.total == 760)
     assert(conf.accuracy > 0.9, s"accuracy ${conf.accuracy} (paper: 736/760 = 0.968)")
     assert(conf.macroF1 > 0.85, s"macroF1 ${conf.macroF1} (paper: F1 > 0.96)")
-    assert(pred.size == acc.datasets.length)
+    assert(tables.predictedTiers.size == EnterpriseSim.tableIIIAccount().datasets.length)
   }
 }

@@ -46,9 +46,8 @@ class AccessPredictorDifferentialSpec extends AnyFunSuite with SparkSpec {
       withBroadcastThreshold(setting) {
         val acc = c.acc()
         val ref = AccessPredictorReference.run(spark, acc, c.tiers, c.hotIdx, c.trainT0s,
-          testT0 = 14, horizon = 2)
-        val got = AccessPredictor.run(spark, acc, c.tiers, c.hotIdx, c.trainT0s,
           testT0 = 14, horizon = 2, lags = 6, seed = 13, hotBias = 0.4)
+        val got = AccessPredictor.run(spark, acc, c.tiers, c.hotIdx, c.trainT0s, testT0 = 14, horizon = 2)
         assert(got.forest.trees.length == 80)
         assert(trees(got) == trees(ref))
         assert(got.scores.sortBy(_.datasetId) == ref.scores.sortBy(_.datasetId))

@@ -18,11 +18,12 @@ object AccessPredictorReference {
 
   def run(spark: SparkSession, acc: EnterpriseSim.Account, tiers: Vector[Tier],
           hotIdx: Int, trainT0s: Seq[Int], testT0: Int, horizon: Int,
-          lags: Int = 6, seed: Long = 13, hotBias: Double = 0.4): Run = {
+          lags: Int, seed: Long, hotBias: Double): Run = {
     require(trainT0s.forall(_ < testT0), "training windows must precede the test window")
-    val train = trainT0s.map(t0 => labelled(spark, acc, tiers, hotIdx, t0, horizon, lags))
-      .reduce(_ unionAll _)
-    val test = labelled(spark, acc, tiers, hotIdx, testT0, horizon, lags)
+    def labelledAt(t0: Int) =
+      labelled(TierFeatures.accessLogDF(spark, acc), acc, tiers, hotIdx, t0, horizon, lags)
+    val train = trainT0s.map(labelledAt).reduce(_ unionAll _)
+    val test = labelledAt(testT0)
 
     val pipeline = new Pipeline().setStages(Array(
       new VectorAssembler()

@@ -51,7 +51,8 @@ class AccessPredictorSpec extends AnyFunSuite with SparkSpec {
   /** `labelled` at `t0` as (features by dataset, label by dataset). */
   private def labelledRows(a: EnterpriseSim.Account, t0: Int): (Map[Int, Seq[Double]], Map[Int, Int]) = {
     val cols = TierFeatures.featureCols()
-    val rows = AccessPredictor.labelled(spark, a, CostModel.hotCool, 0, t0, horizon = 2)
+    val rows = AccessPredictor.labelled(TierFeatures.accessLogDF(spark, a), a, CostModel.hotCool, 0, t0,
+      horizon = 2, AccessPredictor.Lags)
       .select("dataset_id", cols :+ "label": _*).collect()
     (rows.map(r => r.getInt(0) -> (1 to cols.size).map(r.getDouble)).toMap,
       rows.map(r => r.getInt(0) -> r.getDouble(cols.size + 1).toInt).toMap)
@@ -95,13 +96,6 @@ class AccessPredictorSpec extends AnyFunSuite with SparkSpec {
   test("trainEval rejects horizon < 1") {
     rejects("horizon") {
       AccessPredictor.trainEval(spark, acc, CostModel.hotCool, 0, trainT0s = Seq(12), testT0 = 14, horizon = 0)
-    }
-  }
-
-  test("trainEval rejects lags < 1") {
-    rejects("lags") {
-      AccessPredictor.trainEval(spark, acc, CostModel.hotCool, 0, trainT0s = Seq(12), testT0 = 14,
-        horizon = 2, lags = 0)
     }
   }
 }

@@ -10,6 +10,8 @@ class TierFeaturesSpec extends AnyFunSuite with SparkSpec {
     nMonths = 12, seed = 95)
   private lazy val log = TierFeatures.accessLogDF(spark, acc).cache()
 
+  override def afterAll(): Unit = try log.unpersist() finally super.afterAll()
+
   test("access log has one row per (dataset, month)") {
     assert(log.count() == 40L * 12)
     assert(log.select("dataset_id").distinct().count() == 40)

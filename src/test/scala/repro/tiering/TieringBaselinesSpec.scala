@@ -31,13 +31,13 @@ class TieringBaselinesSpec extends AnyFunSuite {
   }
 
   test("prevMonthOptimal covers all datasets with valid tiers") {
-    val a = TieringBaselines.prevMonthOptimal(acc, inst, 0, t0)
+    val a = TieringBaselines.prevMonthOptimal(acc, CostModel.hotCool, 0, t0)
     assert(a.length == acc.datasets.length)
     assert(a.forall(x => x.tier >= 0 && x.tier < inst.tiers.length))
   }
 
   test("prevMonthOptimal sends datasets unread last month to Cool") {
-    val a = TieringBaselines.prevMonthOptimal(acc, inst, 0, t0).map(x => x.id -> x.tier).toMap
+    val a = TieringBaselines.prevMonthOptimal(acc, CostModel.hotCool, 0, t0).map(x => x.id -> x.tier).toMap
     acc.datasets.filter(_.reads(t0 - 1) == 0).foreach(ds => assert(a(ds.id) == 1))
   }
 }

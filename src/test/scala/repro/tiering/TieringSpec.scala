@@ -57,7 +57,7 @@ class TieringSpec extends AnyFunSuite {
       val rule = TieringBaselines.hotIfAccessedRecently(acc, 0, 1, t0, w)
       assert(Tiering.benefitPct(inst, 0, rule, known) <= optBenefit + 1e-9)
     }
-    val prev = TieringBaselines.prevMonthOptimal(acc, inst, 0, t0)
+    val prev = TieringBaselines.prevMonthOptimal(acc, CostModel.hotCool, 0, t0)
     assert(Tiering.benefitPct(inst, 0, prev, known) <= optBenefit + 1e-9)
     assert(optBenefit > 0, "skewed workloads must leave tiering savings on the table")
   }
