@@ -84,6 +84,11 @@ object ComPredict {
     () => new RandomForestRegressor().setNumTrees(60).setMaxDepth(8).setSeed(seed))
   def gbt(seed: Long = 7): Model = new SparkModel("XGBoost*", // GBTRegressor stand-in
     () => new GBTRegressor().setMaxIter(40).setMaxDepth(5).setSeed(seed))
+  // LinearRegression's normal-equation solver calls BLAS and LAPACK through
+  // netlib. Without a native BLAS or LAPACK, the first fit in a JVM logs
+  // "InstanceBuilder: Failed to load implementation" for JNIBLAS, VectorBLAS
+  // (the JDK's incubating vector API is not enabled) and JNILAPACK, then
+  // falls back to netlib's pure-Java implementation.
   def linear(): Model = new SparkModel("SVR*", // LinearRegression stand-in (L2)
     () => new LinearRegression().setRegParam(0.1).setElasticNetParam(0.0))
 

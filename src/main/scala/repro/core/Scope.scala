@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.catalyst.encoders.ExpressionEncoder
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.{IntegerType, StructType}
 import repro.Concurrently
@@ -28,8 +29,8 @@ object Scope {
   final case class LakeTable(name: String, df: DataFrame, fileOffset: Int, nFiles: Int)
 
   /** The whole lake: tables plus the global file catalog (rows and raw
-    * CSV-serialized bytes per file, both computed with DataFrame
-    * aggregations on the executors).
+    * CSV-serialized bytes per file, summed on the executors by the job that
+    * fills each table's cache).
     */
   final case class DataLake(tables: Vector[LakeTable], catalog: FileCatalog) {
     def tableOfFile(fileId: Int): LakeTable =
@@ -41,50 +42,78 @@ object Scope {
       * partition's sample holds its files in ascending id order, each file's
       * rows in rank order (sort column, then input order), concatenated and
       * cut at `cap`, with the table's schema without `file_id`. Only the
-      * files a sample can reach are read: a partition's files in ascending
+      * files a sample can reach are kept: a partition's files in ascending
       * order until the catalog rows before a file reach `cap`.
+      *
+      * @throws IllegalArgumentException if `cap` is below 1, or a part has no
+      *         files, a file outside the catalog or files of two tables
       */
     def sampleParts(parts: Seq[Part], cap: Int): Vector[Sampling.Sample] = {
+      require(cap >= 1, s"sample cap must be at least 1, got $cap")
+      val tableOfPart = parts.map { p =>
+        require(p.files.nonEmpty, s"part ${p.id} has no files")
+        val outside = p.files.filter(f => f < 0 || f >= catalog.nFiles)
+        require(outside.isEmpty,
+          s"part ${p.id} has file ${outside.head}, outside the catalog's ${catalog.nFiles} files")
+        val t = tableOfFile(p.files.head)
+        require(p.files.last < t.fileOffset + t.nFiles,
+          s"part ${p.id} spans tables ${t.name} and ${tableOfFile(p.files.last).name}")
+        t
+      }
       val reached = parts.flatMap { p =>
         val fs = p.files.toVector
         fs.zip(fs.scanLeft(0L)(_ + catalog.rows(_))).takeWhile(_._2 < cap).map(_._1)
       }.distinct
       val heads = fileHeads(reached, cap)
-      parts.map { p =>
+      parts.zip(tableOfPart).map { case (p, t) =>
         val rows = p.files.iterator.flatMap(f => heads.getOrElse(f, Vector.empty)).take(cap)
-        val schema = tableOfFile(p.files.head).df.schema.filterNot(_.name == "file_id")
+        val schema = t.df.schema.filterNot(_.name == "file_id")
         Sampling.Sample(s"part-${p.id}", rows.toIndexedSeq, StructType(schema))
       }.toVector
     }
 
-    /** The first `cap` rows, in rank order, of each of `files`, by file id. */
+    /** The first `cap` rows, in rank order, of each of `files`, by file id.
+      * One job reads the tables' cached scans as internal rows, so no filter
+      * is planned per call and only kept rows are copied, shipped and turned
+      * into `Row`s (on the driver, as `collect` does).
+      */
     private def fileHeads(files: Seq[Int], cap: Int): Map[Int, Vector[Row]] =
       if (files.isEmpty) Map.empty
       else {
-        val perTable = files.groupBy(tableOfFile).toVector.map { case (t, fs) =>
+        val byTable = files.groupBy(tableOfFile).toVector
+        val scans = byTable.map { case (t, fs) =>
           val fi = t.df.schema.fieldIndex("file_id")
-          t.df.filter(col("file_id").isin(fs.map(Integer.valueOf): _*)).rdd
-            .map(r => (r.getInt(fi), Row.fromSeq(r.toSeq.patch(fi, Nil, 1))))
-        }
-        // Rank order holds within and across the cached partitions, so the
-        // first `cap` rows seen per file are that file's first `cap` rows.
-        val kept = perTable.head.sparkContext.union(perTable).mapPartitions { it =>
-          val seen = scala.collection.mutable.HashMap.empty[Int, Int]
-          it.filter { case (f, _) =>
-            val n = seen.getOrElse(f, 0)
-            seen.update(f, n + 1)
-            n < cap
+          val (wanted, last) = (fs.toSet, fs.max)
+          // Rank order holds within and across the cached partitions, so the
+          // first `cap` rows seen per file are that file's first `cap` rows,
+          // and a partition's file ids never decrease: its scan stops at the
+          // first row past the last wanted file.
+          t.df.queryExecution.toRdd.mapPartitions { it =>
+            val seen = scala.collection.mutable.HashMap.empty[Int, Int]
+            it.takeWhile(_.getInt(fi) <= last).flatMap { r =>
+              val f = r.getInt(fi)
+              val n = seen.getOrElse(f, 0)
+              if (!wanted(f) || n >= cap) None
+              else { seen.update(f, n + 1); Some((f, r.copy())) }
+            }
           }
-        }.collect()
-        kept.groupBy(_._1).map { case (f, rs) => f -> rs.iterator.map(_._2).take(cap).toVector }
+        }
+        val kept = scans.head.sparkContext.union(scans).collect().groupBy(_._1)
+        byTable.flatMap { case (t, fs) =>
+          val fi = t.df.schema.fieldIndex("file_id")
+          val decode = ExpressionEncoder(t.df.schema).resolveAndBind().createDeserializer()
+          fs.flatMap(f => kept.get(f).map(rs =>
+            f -> rs.iterator.take(cap).map(r => Row.fromSeq(decode(r._2).toSeq.patch(fi, Nil, 1))).toVector))
+        }.toMap
       }
   }
 
   /** Splits every table into contiguous files along its sort column and
     * computes the global file catalog. Row byte sizes are the CSV
-    * serialization lengths, aggregated per file in Catalyst (this is the
-    * distributed "cost model evaluated per partition" path). Tables are
-    * built concurrently, one driver thread each.
+    * serialization lengths, computed in Catalyst and summed per file by the
+    * job that fills each table's cache (this is the distributed "cost model
+    * evaluated per partition" path). Tables are built concurrently, one
+    * driver thread each.
     *
     * @throws IllegalArgumentException if a table has fewer rows than files
     */
@@ -98,15 +127,16 @@ object Scope {
     val tables = built.map(_.get)
     val rows  = new Array[Long](offsets.last)
     val bytes = new Array[Long](offsets.last)
-    for ((_, stats) <- tables; (f, r, b) <- stats) { rows(f) = r; bytes(f) = b }
+    // A file that spans cached partitions has one partial sum in each.
+    for ((_, stats) <- tables; (f, r, b) <- stats) { rows(f) += r; bytes(f) += b }
     DataLake(tables.map(_._1).toVector, FileCatalog(rows.toVector, bytes.toVector))
   }
 
   /** One table of `buildLake`: a distributed sort on (sortCol, input
     * position), global ranks from per-partition sizes, and `file_id` from
     * rank with `ntile`'s bucket sizes (the first N % nFiles files hold
-    * one row more). The per-file (file_id, rows, bytes) aggregation is the
-    * job that fills the cache.
+    * one row more). One narrow job over (file_id, row bytes) fills the cache
+    * and returns per-partition (file_id, rows, bytes) partial sums.
     */
   private def splitTable(s: TableSpec, fileOffset: Int): (LakeTable, Array[(Int, Long, Long)]) = {
     val spark = s.df.sparkSession
@@ -130,12 +160,23 @@ object Scope {
     val schema = s.df.schema.add("file_id", IntegerType, nullable = false)
     val df = spark.createDataFrame(withFile, schema).cache()
     val dataCols = s.df.columns.toIndexedSeq.map(c => col(c).cast("string"))
+    val rowBytes = df.select(col("file_id"), length(concat_ws(",", dataCols: _*)) + 1)
+    // Within a cached partition rows are in rank order, so file ids never
+    // decrease: each partition sums its runs of one file.
     val stats =
-      try df
-        .groupBy(col("file_id"))
-        .agg(count(lit(1)) as "rows", sum(length(concat_ws(",", dataCols: _*)) + 1) as "bytes")
-        .collect()
-        .map(r => (r.getInt(0), r.getLong(1), r.getLong(2)))
+      try rowBytes.queryExecution.toRdd.mapPartitions { it =>
+        val runs = Vector.newBuilder[(Int, Long, Long)]
+        var (f, rows, bytes) = (-1, 0L, 0L)
+        it.foreach { r =>
+          if (r.getInt(0) != f) {
+            if (rows > 0) runs += ((f, rows, bytes))
+            f = r.getInt(0); rows = 0L; bytes = 0L
+          }
+          rows += 1; bytes += r.getInt(1)
+        }
+        if (rows > 0) runs += ((f, rows, bytes))
+        runs.result().iterator
+      }.collect()
       catch { case e: Throwable => df.unpersist(blocking = true); throw e }
     (LakeTable(s.name, df, fileOffset, s.nFiles), stats)
   }

@@ -105,6 +105,12 @@ object AccessPredictor {
       .reduce(_ unionAll _)
     val test  = labelled(log, acc, tiers, hotIdx, testT0, horizon, Lags)
 
+    // The assembler hands its 14 feature columns to its UDF as one named
+    // struct, whose name and value arguments outnumber the 25 fields a plan
+    // string shows (`spark.sql.debug.maxToStringFields`). Rendering these
+    // plans for their SQL execution events therefore logs "SparkStringUtils:
+    // Truncated the string representation of a plan", once per JVM. Only
+    // that description is cut; the plan runs whole.
     val assembler = new VectorAssembler()
       .setInputCols(TierFeatures.featureCols().toArray).setOutputCol("features")
     // Exactly the columns the forest reads: AQE coalesces this plan's
@@ -115,6 +121,10 @@ object AccessPredictor {
     val Vector(trainParts, testParts) =
       Concurrently.run(Seq(input, scored).map(df => () => df.rdd.glom().collect())).map(_.get)
     val held = spark.sparkContext.parallelize(trainParts.toSeq, trainParts.length).flatMap(_.iterator)
+    // Each of MLlib's per-level split jobs ships the trees grown so far: at
+    // 80 trees and depth 10 its task binary passes 1000 KiB, and Spark logs
+    // "DAGScheduler: Broadcasting large task binary" (it already broadcasts
+    // the binary; the line reports the size, about 1–1.8 MiB here).
     val forest = new RandomForestClassifier()
       .setNumTrees(80).setMaxDepth(10).setSeed(ForestSeed)
       .fit(spark.createDataFrame(held, input.schema))

@@ -1,7 +1,8 @@
 package repro.core
 
-import java.util.concurrent.atomic.AtomicInteger
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import java.util.concurrent.ConcurrentHashMap
+import java.util.concurrent.atomic.{AtomicInteger, AtomicLong}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerStageCompleted}
 import org.apache.spark.sql.functions.col
 import org.scalatest.concurrent.Eventually._
 import org.scalatest.funsuite.AnyFunSuite
@@ -45,6 +46,42 @@ class LakeDifferentialSpec extends AnyFunSuite with SparkSpec {
   private def fileRows(l: Scope.DataLake): Vector[Vector[String]] =
     l.tables.map(_.df.collect().map(_.toString).sorted.toVector)
 
+  /** Runs `f` in its own job group. Returns its result, the number of Spark
+    * jobs the group started and the shuffle records their stages read.
+    */
+  private def tracked[T](f: => T): (T, Int, Long) = {
+    val jobs = new AtomicInteger
+    val marker = new AtomicInteger
+    val stages = ConcurrentHashMap.newKeySet[Int]()
+    val shuffleRecords = new AtomicLong
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        Option(e.properties).map(_.getProperty("spark.jobGroup.id")) match {
+          case Some("lake-tracked") => jobs.incrementAndGet(); e.stageIds.foreach(stages.add(_))
+          case Some("lake-marker")  => marker.incrementAndGet()
+          case _                    =>
+        }
+      override def onStageCompleted(e: SparkListenerStageCompleted): Unit =
+        if (stages.contains(e.stageInfo.stageId))
+          shuffleRecords.addAndGet(e.stageInfo.taskMetrics.shuffleReadMetrics.recordsRead)
+    }
+    val sc = spark.sparkContext
+    sc.addSparkListener(listener)
+    try {
+      sc.setJobGroup("lake-tracked", "tracked")
+      val result = f
+      sc.setJobGroup("lake-marker", "marker")
+      sc.parallelize(Seq(1)).count()
+      // The listener bus is FIFO: once the marker job is seen, so are the
+      // tracked jobs and stages before it.
+      eventually(timeout(30.seconds)) { assert(marker.get == 1) }
+      (result, jobs.get, shuffleRecords.get)
+    } finally {
+      sc.clearJobGroup()
+      sc.removeSparkListener(listener)
+    }
+  }
+
   /** Whole tables, single files and non-contiguous file sets. */
   private def parts: Vector[Part] = {
     val whole = lake.tables.map(t => t.fileOffset until t.fileOffset + t.nFiles)
@@ -79,34 +116,32 @@ class LakeDifferentialSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("sampleParts takes every sample in one Spark job") {
-    val jobs = new AtomicInteger
-    val marker = new AtomicInteger
-    val listener = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit =
-        Option(e.properties).map(_.getProperty("spark.jobGroup.id")) match {
-          case Some("lake-samples") => jobs.incrementAndGet()
-          case Some("lake-marker")  => marker.incrementAndGet()
-          case _                    =>
-        }
-    }
     assert(lake.catalog.nFiles == 19) // build outside the counted group
+    val (samples, jobs, shuffleRecords) = tracked(lake.sampleParts(parts, 2500))
+    assert(jobs == 1)
+    assert(samples.map(_.rows) == parts.map(p => LakeReference.sampleRows(ref, p, 2500)._1))
+    // The job reads the cached tables: a table plan made before `.cache()`
+    // would read the sort's shuffle again.
+    assert(shuffleRecords == 0)
+  }
+
+  test("buildLake takes at most 4 Spark jobs per table and leaves every table fully cached") {
+    // A table whose sort needs a shuffle takes the range sample, the shuffle,
+    // the size count and the one job that fills the cache and sums the file
+    // stats; the per-file groupBy took two more.
     val sc = spark.sparkContext
-    sc.addSparkListener(listener)
+    val before = sc.getPersistentRDDs.keySet.toSet
+    val (built, jobs, _) = tracked(uncoalesced(Scope.buildLake(specs)))
     try {
-      sc.setJobGroup("lake-samples", "samples")
-      val samples = lake.sampleParts(parts, 2500)
-      sc.setJobGroup("lake-marker", "marker")
-      sc.parallelize(Seq(1)).count()
-      sc.clearJobGroup()
-      // The listener bus is FIFO: once the marker job is seen, so are the
-      // sampling jobs before it.
-      eventually(timeout(30.seconds)) { assert(marker.get == 1) }
-      assert(jobs.get == 1)
-      assert(samples.map(_.rows) == parts.map(p => LakeReference.sampleRows(ref, p, 2500)._1))
-    } finally {
-      sc.clearJobGroup()
-      sc.removeSparkListener(listener)
-    }
+      assert(jobs <= 4 * specs.size, s"$jobs jobs for ${specs.size} tables")
+      val cached = sc.getPersistentRDDs.keySet.toSet -- before
+      assert(cached.size == specs.size)
+      // getRDDStorageInfo lists only RDDs that hold cached partitions.
+      val infos = sc.getRDDStorageInfo.filter(i => cached(i.id))
+      assert(infos.length == specs.size)
+      infos.foreach(i => assert(i.numCachedPartitions == i.numPartitions, i.name))
+      assert(built.catalog == ref.catalog)
+    } finally built.tables.foreach(_.df.unpersist(blocking = true))
   }
 
   test("two builds of one lake agree, and unpersisting the tables empties the cache") {

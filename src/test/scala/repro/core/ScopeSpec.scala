@@ -86,6 +86,31 @@ class ScopeSpec extends AnyFunSuite with SparkSpec {
     assert(sample.rows.length == expected)
   }
 
+  test("sampleParts rejects a cap below 1") {
+    val e = intercept[IllegalArgumentException](
+      lake.sampleParts(Seq(repro.partition.Part.initial(0, Seq(0), 1.0)), cap = 0))
+    assert(e.getMessage.contains("cap"))
+  }
+
+  test("sampleParts rejects a part with no files, naming it") {
+    val e = intercept[IllegalArgumentException](
+      lake.sampleParts(Seq(repro.partition.Part.initial(7, Nil, 1.0)), cap = 10))
+    assert(e.getMessage.contains("part 7"))
+  }
+
+  test("sampleParts rejects a file outside the catalog, naming the part") {
+    val e = intercept[IllegalArgumentException](
+      lake.sampleParts(Seq(repro.partition.Part.initial(8, Seq(9, 10), 1.0)), cap = 10))
+    assert(e.getMessage.contains("part 8") && e.getMessage.contains("file 10"))
+  }
+
+  test("sampleParts rejects a part whose files span two tables, naming it") {
+    val e = intercept[IllegalArgumentException](
+      lake.sampleParts(Seq(repro.partition.Part.initial(9, Seq(5, 6), 1.0)), cap = 10))
+    assert(e.getMessage.contains("part 9") &&
+      e.getMessage.contains("orders") && e.getMessage.contains("customer"))
+  }
+
   test("initialPartitions: per-table families with globally unique ids, scaled frequencies") {
     val parts = Scope.initialPartitions(lake, familiesPerTable = 5, zipfAlpha = 1.0,
       freqScale = 10.0, seed = 1)
