@@ -21,7 +21,7 @@ class TableVBench extends AnyFunSuite with BenchBase {
 
   test("Table V: training data and feature ablation (gzip, Random Forest)") {
     banner("Table V", "Prediction quality by sample source and feature set (gzip on CSV layout, RF)")
-    val rows = ExpCompredict.tableV(spark, sf, queriesPerTable = 30, maxRows = 4000)
+    val rows = ExpCompredict.tableV(spark, sf)
     println(f"${"Target"}%-20s ${"Training"}%-15s ${"Features"}%-17s " +
       f"| ${"pMAE"}%7s ${"pMAPE"}%8s ${"pR2"}%7s | ${"MAE"}%7s ${"MAPE"}%8s ${"R2"}%7s")
     rows.zip(paper).foreach { case (r, (t, d, f, pm, pp, pr)) =>

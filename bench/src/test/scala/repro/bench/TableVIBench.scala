@@ -29,7 +29,7 @@ class TableVIBench extends AnyFunSuite with BenchBase {
       "Compression-ratio prediction (queries + weighted entropy). XGBoost* = MLlib GBT, " +
         "SVR* = MLlib linear regression (see DESIGN.md substitutions); paper's MLP omitted " +
         "(no MLlib MLP regressor).")
-    val rows = ExpCompredict.tableVI(spark, sf, queriesPerTable = 30, maxRows = 4000)
+    val rows = ExpCompredict.tableVI(spark, sf)
     println(f"${"Model"}%-15s ${"Scheme"}%-16s ${"paperMAPE"}%9s | ${"MAE"}%7s ${"MAPE"}%8s ${"R2"}%7s")
     rows.foreach { r =>
       val pm = paperMape.get((r.model, r.scheme)).map(v => f"$v%9.3f").getOrElse("        -")

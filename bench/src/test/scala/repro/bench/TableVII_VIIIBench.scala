@@ -50,8 +50,7 @@ class TableVII_VIIIBench extends AnyFunSuite with BenchBase {
       val tag = if (skew) "TPC-H Skew" else "TPC-H 100GB"
       banner(if (skew) "Tables VII-VIII (skew)" else "Tables VII-VIII (uniform)",
         s"$tag at SF=$sf (see DESIGN.md scale substitution)")
-      val (ratio, dec) = ExpCompredict.tableVII_VIII(spark, sf, queriesPerTable = 30,
-        maxRows = 4000, skew)
+      val (ratio, dec) = ExpCompredict.tableVII_VIII(spark, sf, skew)
       show(tag, "compression ratio (Table VII)", ratio, paperVII(tag))
       show(tag, "decompression sec/GB (Table VIII)", dec, paperVIII(tag))
       shapeChecks(ratio, s"$tag ratio")

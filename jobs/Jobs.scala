@@ -49,7 +49,7 @@ object TableV {
   def main(args: Array[String]): Unit = {
     val spark = JobSession.get("tableV")
     println(f"${"Target"}%-20s ${"Training Data"}%-16s ${"Features"}%-18s ${"MAE"}%8s ${"MAPE"}%9s ${"R2"}%7s")
-    ExpCompredict.tableV(spark, JobSession.sf, queriesPerTable = 30, maxRows = 4000).foreach(r =>
+    ExpCompredict.tableV(spark, JobSession.sf).foreach(r =>
       println(f"${r.target}%-20s ${r.trainingData}%-16s ${r.features}%-18s " +
         f"${r.m.mae}%8.3f ${r.m.mape}%9.3f ${r.m.r2}%7.3f"))
   }
@@ -60,7 +60,7 @@ object TableVI {
   def main(args: Array[String]): Unit = {
     val spark = JobSession.get("tableVI")
     println(f"${"Model"}%-16s ${"Scheme"}%-16s ${"MAE"}%8s ${"MAPE"}%9s ${"R2"}%7s")
-    ExpCompredict.tableVI(spark, JobSession.sf, queriesPerTable = 30, maxRows = 4000).foreach(r =>
+    ExpCompredict.tableVI(spark, JobSession.sf).foreach(r =>
       println(f"${r.model}%-16s ${r.scheme}%-16s ${r.m.mae}%8.3f ${r.m.mape}%9.3f ${r.m.r2}%7.3f"))
   }
 }
@@ -73,8 +73,7 @@ object TableVII_VIII {
     val spark = JobSession.get("tableVII_VIII")
     for (skew <- Seq(false, true)) {
       val tag = if (skew) "TPC-H Skew" else "TPC-H 100GB (uniform)"
-      val (ratio, dec) = ExpCompredict.tableVII_VIII(spark, JobSession.sf,
-        queriesPerTable = 30, maxRows = 4000, skew)
+      val (ratio, dec) = ExpCompredict.tableVII_VIII(spark, JobSession.sf, skew)
       println(s"-- $tag: compression ratio (Table VII) --")
       ratio.foreach(r => println(f"${r.model}%-16s ${r.scheme}%-16s ${r.m}"))
       println(s"-- $tag: decompression sec/GB (Table VIII) --")

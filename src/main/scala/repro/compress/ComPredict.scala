@@ -74,16 +74,19 @@ object ComPredict {
     }
   }
 
+  /** The seed of every randomized COMPREDICT model. */
+  val ModelSeed = 7L
+
   // With fewer training examples than its 32 bins, MLlib logs "DecisionTree
   // reducing maxBins from 32 to N (= number of training instances)" once per
   // fit: a feature of N examples has at most N distinct values, so N bins
   // already hold every split candidate and the forest is the same. A
   // COMPREDICT training set is a few dozen samples, so `trainPredictor` logs
   // it once for each of its six fits.
-  def randomForest(seed: Long = 7): Model = new SparkModel("Random Forest",
-    () => new RandomForestRegressor().setNumTrees(60).setMaxDepth(8).setSeed(seed))
-  def gbt(seed: Long = 7): Model = new SparkModel("XGBoost*", // GBTRegressor stand-in
-    () => new GBTRegressor().setMaxIter(40).setMaxDepth(5).setSeed(seed))
+  def randomForest(): Model = new SparkModel("Random Forest",
+    () => new RandomForestRegressor().setNumTrees(60).setMaxDepth(8).setSeed(ModelSeed))
+  def gbt(): Model = new SparkModel("XGBoost*", // GBTRegressor stand-in
+    () => new GBTRegressor().setMaxIter(40).setMaxDepth(5).setSeed(ModelSeed))
   // LinearRegression's normal-equation solver calls BLAS and LAPACK through
   // netlib. Without a native BLAS or LAPACK, the first fit in a JVM logs
   // "InstanceBuilder: Failed to load implementation" for JNIBLAS, VectorBLAS
@@ -93,8 +96,7 @@ object ComPredict {
     () => new LinearRegression().setRegParam(0.1).setElasticNetParam(0.0))
 
   /** The Table VI model zoo. */
-  def allModels(seed: Long = 7): Vector[Model] =
-    Vector(Averaging, gbt(seed), linear(), randomForest(seed))
+  def allModels(): Vector[Model] = Vector(Averaging, gbt(), linear(), randomForest())
 
   /** The serialized bytes of a row set in `layout` and its model features
     * of the given kind.
@@ -138,15 +140,19 @@ object ComPredict {
     (fitted, metrics(test.map(e => fitted.predict(e.features)), test.map(target)))
   }
 
+  /** [[trainEval]]'s training share of the examples and its shuffle seed. */
+  val TrainFrac = 0.7
+  val SplitSeed = 11L
+
   /** Deterministic train/test split, fit on train, metrics on test.
     * Returns (fitted, testMetrics).
     */
-  def trainEval(examples: Seq[Example], target: Example => Double, model: Model,
-                trainFrac: Double = 0.7, seed: Long = 11): (Fitted, RegMetrics) = {
+  def trainEval(examples: Seq[Example], target: Example => Double,
+                model: Model): (Fitted, RegMetrics) = {
     require(examples.size >= 5, s"need >=5 examples, got ${examples.size}")
-    val rng      = new scala.util.Random(seed)
+    val rng      = new scala.util.Random(SplitSeed)
     val shuffled = rng.shuffle(examples.toVector)
-    val nTrain   = math.max(2, (shuffled.size * trainFrac).toInt)
+    val nTrain   = math.max(2, (shuffled.size * TrainFrac).toInt)
     val (tr, te) = shuffled.splitAt(nTrain)
     fitEval(tr, te, target, model)
   }
@@ -166,13 +172,13 @@ object ComPredict {
     }
   }
 
-  /** Fits a [[PerfPredictor]] on labelled examples by codec name (as
+  /** Fits a [[randomForest]] [[PerfPredictor]] on examples by codec name (as
     * [[examplesByCodec]] gives them). The ratio and decompression models of
     * every compressing codec, six fits, run concurrently, one driver thread
     * each, so their small MLlib jobs overlap.
     */
-  def fitPredictor(examples: Map[String, Seq[Example]], layout: Layout,
-                   model: Model = randomForest()): PerfPredictor = {
+  def fitPredictor(examples: Map[String, Seq[Example]], layout: Layout): PerfPredictor = {
+    val model = randomForest()
     val names = Codecs.compressing.map(_.name)
     val fits = Concurrently.run(names.flatMap { c =>
       val ex = examples(c)
@@ -190,10 +196,8 @@ object ComPredict {
     *
     * @throws IllegalArgumentException if there are fewer than 2 samples
     */
-  def trainPredictor(samples: Seq[Sampling.Sample], layout: Layout,
-                     model: Model = randomForest()): PerfPredictor = {
+  def trainPredictor(samples: Seq[Sampling.Sample], layout: Layout): PerfPredictor = {
     require(samples.size >= 2, s"COMPREDICT needs at least 2 training samples, got ${samples.size}")
-    val examples = examplesByCodec(samples, layout, Codecs.compressing, Features.Entropy)
-    fitPredictor(examples, layout, model)
+    fitPredictor(examplesByCodec(samples, layout, Codecs.compressing, Features.Entropy), layout)
   }
 }

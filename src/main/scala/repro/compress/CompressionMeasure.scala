@@ -18,14 +18,11 @@ final case class CompMeasurement(rawBytes: Long, compressedBytes: Long, decompSe
 
 object CompressionMeasure {
 
-  /** Measures one in-memory sample. Decompression is repeated `reps` times
-    * and the minimum is taken, which suppresses JIT/GC noise in the
-    * sec-per-GB normalization.
+  /** Measures one in-memory sample serialized in `layout`, as
+    * [[measureBytes]] measures its bytes.
     */
-  def measureRows(rows: Seq[Row], layout: Layout, codec: Codec, reps: Int = 3): CompMeasurement = {
-    val raw = layout.serialize(rows)
-    measureBytes(raw, codec, reps)
-  }
+  def measureRows(rows: Seq[Row], layout: Layout, codec: Codec): CompMeasurement =
+    measureBytes(layout.serialize(rows), codec)
 
   /** The performance of each of `codecs` on one serialized sample, in
     * order: every codec is measured on these same bytes.
@@ -40,7 +37,10 @@ object CompressionMeasure {
     }.toVector
   }
 
-  /** Measures a pre-serialized buffer. */
+  /** Measures a pre-serialized buffer. Decompression is repeated `reps`
+    * times and the minimum is taken, which suppresses JIT/GC noise in the
+    * sec-per-GB normalization.
+    */
   def measureBytes(raw: Array[Byte], codec: Codec, reps: Int = 3): CompMeasurement = {
     val compressed = codec.compress(raw)
     // Warm once so the first timed rep is not a cold path.

@@ -17,15 +17,12 @@ object Sampling {
   /** One training sample: collected rows plus a provenance tag. */
   final case class Sample(tag: String, rows: IndexedSeq[Row], schema: StructType)
 
-  /** `n` random-row samples of ~`rowsPer` rows each. */
+  /** `n` random-row samples of ~`rowsPer` rows each, as [[RandomQuery]]s
+    * that [[querySamples]] takes in one job; one `count` sets their fraction.
+    */
   def randomSamples(df: DataFrame, n: Int, rowsPer: Int, seed: Long): Vector[Sample] = {
-    val total = df.count().toDouble
-    (0 until n).map { i =>
-      val frac = math.min(1.0, rowsPer / math.max(1.0, total) * 1.3)
-      val rows = df.sample(withReplacement = false, frac, seed + i)
-        .limit(rowsPer).collect().toIndexedSeq
-      Sample(s"random-$i", rows, df.schema)
-    }.toVector.filter(_.rows.nonEmpty)
+    val frac = math.min(1.0, rowsPer / math.max(1.0, df.count().toDouble) * 1.3)
+    querySamples(df, (0 until n).map(i => RandomQuery(i, frac, seed + i)), rowsPer)
   }
 
   /** A synthetic query: equality on a categorical column or a range on a
@@ -39,6 +36,14 @@ object Sampling {
   final case class RangeQuery(col0: String, lo: Double, hi: Double) extends QuerySpec {
     def predicate: Column = col(col0) >= lo && col(col0) < hi
     def tag: String       = s"range:$col0[$lo,$hi)"
+  }
+  /** Random sample `i`: the rows `df.sample(false, fraction, seed)` keeps.
+    * Both draw one `nextDouble` per row from an `XORShiftRandom` seeded with
+    * `seed` + partition index.
+    */
+  final case class RandomQuery(i: Int, fraction: Double, seed: Long) extends QuerySpec {
+    def predicate: Column = rand(seed) < fraction
+    def tag: String       = s"random-$i"
   }
 
   /** Generates `n` query specs from the DataFrame's schema: equality
@@ -97,8 +102,10 @@ object Sampling {
     * otherwise yield its rows in a fixed order).
     *
     * All queries run in one Spark job. Catalyst flags every row per query
-    * (a null predicate is no match) and keeps the rows matching any query;
-    * each partition keeps its first `maxRows` matches per query and stops
+    * (a null predicate is no match) and keeps the rows matching any query.
+    * The flags are selected before the filter reads them, so each predicate
+    * is evaluated once per row and a [[RandomQuery]] draws once per row.
+    * Each partition keeps its first `maxRows` matches per query and stops
     * once every query has them; the driver joins the partitions in index
     * order and cuts each sample at `maxRows`.
     *
@@ -108,9 +115,10 @@ object Sampling {
     require(maxRows >= 1, s"maxRows must be at least 1, got $maxRows")
     if (queries.isEmpty) Vector.empty
     else {
-      val flags = queries.map(q => coalesce(q.predicate, lit(false)))
       val (nq, width) = (queries.size, df.schema.length)
-      val flagged = df.filter(flags.reduce(_ || _)).select(col("*") +: flags: _*)
+      val names = (0 until nq).map(k => s"__query_flag_$k")
+      val flags = queries.zip(names).map { case (q, n) => coalesce(q.predicate, lit(false)).as(n) }
+      val flagged = df.select(col("*") +: flags: _*).filter(names.map(col).reduce(_ || _))
       // Flags are read from the internal rows, so only kept rows are copied,
       // shipped and turned into `Row`s (on the driver, as `collect` does).
       val kept = flagged.queryExecution.toRdd.mapPartitions { it =>

@@ -11,6 +11,8 @@ import scala.collection.mutable
   */
 final case class CodecPerf(ratio: Double, decompSecPerGB: Double) {
   require(ratio > 0, s"compression ratio must be positive, got $ratio")
+  require(decompSecPerGB >= 0,
+    s"decompression seconds per GB must be a non-negative number, got $decompSecPerGB")
 }
 
 object CodecPerf {
@@ -41,6 +43,8 @@ final case class PartitionStat(
 ) {
   require(sizeGB >= 0, s"partition $id: sizeGB must be a non-negative number, got $sizeGB")
   require(accesses >= 0, s"partition $id: accesses must be a non-negative number, got $accesses")
+  require(latencySlaSec >= 0,
+    s"partition $id: latencySlaSec must be a non-negative number, got $latencySlaSec")
   require(codecPerfs.nonEmpty, s"partition $id: codecPerfs must hold at least the identity codec")
 }
 

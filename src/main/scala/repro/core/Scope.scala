@@ -375,7 +375,7 @@ object Scope {
     */
   def runAll(lake: DataLake, familiesPerTable: Int, zipfAlpha: Double, freqScale: Double,
              bytesScale: Double, months: Double, gpartCfg: GPartConfig,
-             sampleCap: Int = 2000, seed: Long = 101): Vector[PolicyReport] = {
+             sampleCap: Int, seed: Long): Vector[PolicyReport] = {
     val initial = initialPartitions(lake, familiesPerTable, zipfAlpha, freqScale, seed)
     val merged  = GPart.merge(initial, lake.catalog, gpartCfg)
     val whole   = wholeTableParts(lake, initial)

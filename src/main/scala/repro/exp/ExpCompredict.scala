@@ -39,28 +39,34 @@ object ExpCompredict {
     */
   val MinSampleRows = 200
 
+  /** Queries (and random samples) per source table, and every sample's row cap. */
+  val QueriesPerTable = 30
+  val MaxRows = 4000
+  /** Query seeds of Tables V, VI and VII–VIII (Table V's random samples take
+    * its seed + 100, its train/test shuffle its seed + 200).
+    */
+  val TableVSeed = 5L
+  val TableVISeed = 6L
+  val TableVII_VIIISeed = 8L
+
+  /** Pools the samples `draw` takes from each cached source table (and its index). */
+  private def pooled(spark: SparkSession, sf: Double, skew: Boolean)
+                    (draw: (DataFrame, Int) => Vector[Sampling.Sample]): Vector[Sampling.Sample] =
+    sourceTables(spark, sf, skew).zipWithIndex.flatMap { case (df, i) =>
+      val cached = df.cache()
+      val ss = draw(cached, i)
+      cached.unpersist()
+      ss
+    }
+
   /** Pools query-result samples across tables: `queriesPerTable` synthetic
     * predicate queries each, results capped at `maxRows`.
     */
   def querySamples(spark: SparkSession, sf: Double, skew: Boolean, queriesPerTable: Int,
                    maxRows: Int, seed: Long): Vector[Sampling.Sample] =
-    sourceTables(spark, sf, skew).zipWithIndex.flatMap { case (df, i) =>
-      val cached = df.cache()
-      val qs = Sampling.generateQueries(cached, queriesPerTable, seed + i)
-      val ss = Sampling.querySamples(cached, qs, maxRows)
-      cached.unpersist()
-      ss
+    pooled(spark, sf, skew) { (df, i) =>
+      Sampling.querySamples(df, Sampling.generateQueries(df, queriesPerTable, seed + i), maxRows)
     }.filter(_.rows.length >= MinSampleRows)
-
-  /** Pools random-row samples across tables (the Fig. 4 contrast). */
-  def randomSamples(spark: SparkSession, sf: Double, nPerTable: Int, maxRows: Int,
-                    seed: Long): Vector[Sampling.Sample] =
-    sourceTables(spark, sf, skew = false).zipWithIndex.flatMap { case (df, i) =>
-      val cached = df.cache()
-      val ss = Sampling.randomSamples(cached, nPerTable, maxRows, seed + i)
-      cached.unpersist()
-      ss
-    }
 
   final case class TableVRow(target: String, trainingData: String, features: String,
                              m: RegMetrics)
@@ -75,11 +81,12 @@ object ExpCompredict {
     * (sample set, feature kind) is measured once, so the held-out labels
     * are timed once per feature kind and shared by that kind's rows.
     */
-  def tableV(spark: SparkSession, sf: Double, queriesPerTable: Int, maxRows: Int,
-             seed: Long = 5): Vector[TableVRow] = {
-    val qSamples = querySamples(spark, sf, skew = false, queriesPerTable, maxRows, seed)
-    val rSamples = randomSamples(spark, sf, queriesPerTable, maxRows, seed + 100)
-    val rng      = new scala.util.Random(seed + 200)
+  def tableV(spark: SparkSession, sf: Double): Vector[TableVRow] = {
+    val qSamples = querySamples(spark, sf, skew = false, QueriesPerTable, MaxRows, TableVSeed)
+    val rSamples = pooled(spark, sf, skew = false) { (df, i) => // the Fig. 4 contrast
+      Sampling.randomSamples(df, QueriesPerTable, MaxRows, TableVSeed + 100 + i)
+    }
+    val rng      = new scala.util.Random(TableVSeed + 200)
     val shuffledQ = rng.shuffle(qSamples)
     val nTest    = math.max(3, shuffledQ.size / 4)
     val (qTest, qTrain) = shuffledQ.splitAt(nTest)
@@ -106,8 +113,8 @@ object ExpCompredict {
     * target is scored on those same examples.
     */
   def modelGrid(samples: Seq[Sampling.Sample], schemes: Seq[(String, Layout, Codec)],
-                targets: Seq[Example => Double], seed: Long = 7): Vector[Vector[GridRow]] = {
-    val models = ComPredict.allModels(seed)
+                targets: Seq[Example => Double]): Vector[Vector[GridRow]] = {
+    val models = ComPredict.allModels()
     val byLayout = schemes.map(_._2).distinct.map { layout =>
       layout -> ComPredict.examplesByCodec(samples, layout,
         schemes.collect { case (_, `layout`, codec) => codec }, Features.Entropy)
@@ -123,9 +130,8 @@ object ExpCompredict {
   /** Table VI: compression-ratio prediction on the uniform dataset across
     * the full model x scheme grid.
     */
-  def tableVI(spark: SparkSession, sf: Double, queriesPerTable: Int, maxRows: Int,
-              seed: Long = 6): Vector[GridRow] = {
-    val samples = querySamples(spark, sf, skew = false, queriesPerTable, maxRows, seed)
+  def tableVI(spark: SparkSession, sf: Double): Vector[GridRow] = {
+    val samples = querySamples(spark, sf, skew = false, QueriesPerTable, MaxRows, TableVISeed)
     modelGrid(samples, schemeGrid, Seq(_.ratio)).head
   }
 
@@ -133,9 +139,8 @@ object ExpCompredict {
     * parquet+gzip, on the uniform ("TPC-H 100GB" stand-in) and the
     * Zipf-skew datasets. Both tables come from one set of measured examples.
     */
-  def tableVII_VIII(spark: SparkSession, sf: Double, queriesPerTable: Int, maxRows: Int,
-                    skew: Boolean, seed: Long = 8): (Vector[GridRow], Vector[GridRow]) = {
-    val samples = querySamples(spark, sf, skew, queriesPerTable, maxRows, seed)
+  def tableVII_VIII(spark: SparkSession, sf: Double, skew: Boolean): (Vector[GridRow], Vector[GridRow]) = {
+    val samples = querySamples(spark, sf, skew, QueriesPerTable, MaxRows, TableVII_VIIISeed)
     val schemes = schemeGrid.filter(s => s._1 == "gzip" || s._1 == "parquet+gzip")
     val grids = modelGrid(samples, schemes, Seq(_.ratio, _.decompSecPerGB))
     (grids(0), grids(1))

@@ -65,7 +65,7 @@ object GPart {
     * enqueue sequence, so the sequence is fixed: initial pairs by (i, j),
     * re-inserted edges in live-map order.
     */
-  def merge(initial: Seq[Part], cat: FileCatalog, cfg: GPartConfig = GPartConfig()): Vector[Part] = {
+  def merge(initial: Seq[Part], cat: FileCatalog, cfg: GPartConfig): Vector[Part] = {
     val live   = mutable.Map.from(initial.map(p => p.id -> p))
     var nextId = initial.iterator.map(_.id).foldLeft(0)(math.max) + 1
     val heap   = mutable.PriorityQueue.empty[Edge](Ordering.by(_.w))

@@ -39,10 +39,10 @@ object EnterpriseSim {
     def totalPB: Double = datasets.map(_.sizeGB).sum / 1e6
   }
 
-  /** Default class mix: most data is cold or fading — the skew that makes
-    * tiering pay (Fig 1).
+  /** Class mix outside the popular head: most data is cold or fading — the
+    * skew that makes tiering pay (Fig 1).
     */
-  val defaultMix: Seq[(Pattern, Double)] =
+  val tailMix: Seq[(Pattern, Double)] =
     Seq(Cold -> 0.40, Decay -> 0.25, Spike -> 0.15, Periodic -> 0.10, Constant -> 0.10)
 
   /** Mix for the popular head of the account: live datasets — popularity and
@@ -84,14 +84,13 @@ object EnterpriseSim {
     *                        where all 760 datasets have history)
     */
   def account(name: String, nDatasets: Int, totalPB: Double, nMonths: Int,
-              seed: Long, mix: Seq[(Pattern, Double)] = defaultMix,
-              maxCreatedMonth: Option[Int] = None): Account = {
+              seed: Long, maxCreatedMonth: Option[Int] = None): Account = {
     val rng = new Random(seed)
     val rawSizes = Vector.fill(nDatasets)(math.exp(rng.nextGaussian() * 1.0 + 2.0))
     val createdBound = maxCreatedMonth.getOrElse(math.max(1, nMonths - 4))
     val ds0 = (0 until nDatasets).map { i =>
       val kRank   = i % 97 + 1
-      val pattern = samplePattern(rng, if (kRank <= 30) headMix else mix)
+      val pattern = samplePattern(rng, if (kRank <= 30) headMix else tailMix)
       val created = rng.nextInt(createdBound) // exists before the horizon end
       // Bimodal Zipf-ish popularity over dataset rank (Fig 1a): a popular
       // head whose active datasets clearly clear the Hot-vs-Cool breakeven
@@ -119,12 +118,15 @@ object EnterpriseSim {
     Account(name, ds0.map(d => d.copy(sizeGB = d.sizeGB * scale)), nMonths)
   }
 
+  /** The seed of Table II's first account; each next account takes the next seed. */
+  val TableIISeed = 42L
+
   /** The four customer accounts of Table II (sizes in PB from the paper). */
-  def tableIIAccounts(seed: Long = 42): Vector[Account] = Vector(
-    account("Customer A", 520, 0.56, 18, seed),
-    account("Customer B", 463, 0.45, 18, seed + 1), // paper: 463 datasets for customer B
-    account("Customer C", 310, 0.053, 18, seed + 2),
-    account("Customer D", 350, 0.085, 18, seed + 3),
+  def tableIIAccounts(): Vector[Account] = Vector(
+    account("Customer A", 520, 0.56, 18, TableIISeed),
+    account("Customer B", 463, 0.45, 18, TableIISeed + 1), // paper: 463 datasets for customer B
+    account("Customer C", 310, 0.053, 18, TableIISeed + 2),
+    account("Customer D", 350, 0.085, 18, TableIISeed + 3),
   )
 
   /** The ~760-dataset / ~0.7 PB storage account of Tables III–IV: all

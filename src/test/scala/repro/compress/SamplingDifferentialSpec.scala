@@ -11,9 +11,10 @@ import repro.{SparkSpec, SynthData}
 import repro.compress.Sampling.{EqQuery, RangeQuery}
 
 /** `Sampling.generateQueries`, `Sampling.querySamples`,
-  * `ComPredict.examplesByCodec` and `ComPredict.trainPredictor` against
-  * `SamplingReference`, the per-column aggregations, per-query
-  * `filter(p).limit(n)` scans, per-codec example builds and sequential
+  * `Sampling.randomSamples`, `ComPredict.examplesByCodec` and
+  * `ComPredict.trainPredictor` against `SamplingReference`, the per-column
+  * aggregations, per-query `filter(p).limit(n)` and per-sample
+  * `sample(f, seed).limit(n)` scans, per-codec example builds and sequential
   * per-codec fits: the same queries, the same sample row sequences, the same
   * examples and the same predictions.
   */
@@ -130,6 +131,23 @@ class SamplingDifferentialSpec extends AnyFunSuite with SparkSpec {
     assert(oneAgg >= 1)
     assert(bounds == oneAgg)
     assert(perColumn == 3 * oneAgg)
+  }
+
+  test("randomSamples returns the reference's samples, in one job beyond the count") {
+    // 12,000 rows: fractions of 0.026, 0.325 and (capped) 1.0.
+    for ((n, rowsPer, seed) <- Seq((12, 240, 40L), (5, 3000, 41L), (3, 20000, 42L))) {
+      val got  = Sampling.randomSamples(lineitem, n, rowsPer, seed)
+      val want = SamplingReference.randomSamples(lineitem, n, rowsPer, seed)
+      val clue = s"n=$n rowsPer=$rowsPer seed=$seed"
+      assert(got.map(_.tag) == want.map(_.tag), clue)
+      assert(got.map(_.schema) == want.map(_.schema), clue)
+      got.zip(want).foreach { case (g, w) => assert(g.rows == w.rows, s"${g.tag} at $clue") }
+      assert(got.size == n && got.forall(_.rows.size == math.min(rowsPer, 12000)), clue)
+    }
+    val (_, countJobs) = jobsOf(lineitem.count())
+    val (samples, sampleJobs) = jobsOf(Sampling.randomSamples(lineitem, 12, 240, 43))
+    assert(samples.size == 12)
+    assert(sampleJobs == countJobs + 1)
   }
 
   test("concurrent and sequential fits give bit-identical predictions") {

@@ -3,13 +3,14 @@ package repro.compress
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
-import repro.compress.ComPredict.{Example, Fitted, Model, PerfPredictor}
+import repro.compress.ComPredict.{Example, Fitted, PerfPredictor}
 import repro.compress.Sampling.{EqQuery, QuerySpec, RangeQuery, Sample}
 import scala.util.Random
 
 /** The first-written COMPREDICT sampling and training steps, kept as the
   * differential-test oracle: one aggregation per numeric column's bounds,
-  * one `filter(p).limit(n).collect()` per query, and one codec at a time
+  * one `sample(f, seed).limit(n).collect()` per random sample, one
+  * `filter(p).limit(n).collect()` per query, and one codec at a time
   * measured and fitted in turn.
   */
 object SamplingReference {
@@ -44,6 +45,16 @@ object SamplingReference {
     }.toVector
   }
 
+  def randomSamples(df: DataFrame, n: Int, rowsPer: Int, seed: Long): Vector[Sample] = {
+    val total = df.count().toDouble
+    (0 until n).map { i =>
+      val frac = math.min(1.0, rowsPer / math.max(1.0, total) * 1.3)
+      val rows = df.sample(withReplacement = false, frac, seed + i)
+        .limit(rowsPer).collect().toIndexedSeq
+      Sample(s"random-$i", rows, df.schema)
+    }.toVector.filter(_.rows.nonEmpty)
+  }
+
   def querySamples(df: DataFrame, queries: Seq[QuerySpec], maxRows: Int): Vector[Sample] =
     queries.iterator.map { q =>
       Sample(q.tag, df.filter(q.predicate).limit(maxRows).collect().toIndexedSeq, df.schema)
@@ -61,8 +72,8 @@ object SamplingReference {
       Example(s.tag, feats, m.ratio, m.decompSecPerGB)
     }.toVector
 
-  def trainPredictor(samples: Seq[Sample], layout: Layout,
-                     model: Model = ComPredict.randomForest()): PerfPredictor = {
+  def trainPredictor(samples: Seq[Sample], layout: Layout): PerfPredictor = {
+    val model  = ComPredict.randomForest()
     val ratio  = scala.collection.mutable.Map.empty[String, Fitted]
     val decomp = scala.collection.mutable.Map.empty[String, Fitted]
     for (c <- Codecs.compressing) {
@@ -76,8 +87,8 @@ object SamplingReference {
   /** `trainPredictor`'s fit loop on given examples (by codec name), so a
     * test can fit twice on the same measured decompression labels.
     */
-  def fitSequential(examples: Map[String, Vector[Example]], layout: Layout,
-                    model: Model = ComPredict.randomForest()): PerfPredictor = {
+  def fitSequential(examples: Map[String, Vector[Example]], layout: Layout): PerfPredictor = {
+    val model  = ComPredict.randomForest()
     val ratio  = scala.collection.mutable.Map.empty[String, Fitted]
     val decomp = scala.collection.mutable.Map.empty[String, Fitted]
     for (c <- Codecs.compressing) {

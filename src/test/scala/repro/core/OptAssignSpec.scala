@@ -228,6 +228,27 @@ class OptAssignSpec extends AnyFunSuite {
     }
   }
 
+  test("PartitionStat rejects NaN or negative latencySlaSec") {
+    for (bad <- Seq(Double.NaN, -1.0)) {
+      val e = intercept[IllegalArgumentException](onePart.copy(latencySlaSec = bad))
+      assert(e.getMessage.contains("latencySlaSec") && e.getMessage.contains(bad.toString))
+    }
+  }
+
+  test("CodecPerf rejects NaN, zero or negative ratio") {
+    for (bad <- Seq(Double.NaN, 0.0, -2.0)) {
+      val e = intercept[IllegalArgumentException](CodecPerf(bad, 1.0))
+      assert(e.getMessage.contains("ratio") && e.getMessage.contains(bad.toString))
+    }
+  }
+
+  test("CodecPerf rejects NaN or negative decompSecPerGB") {
+    for (bad <- Seq(Double.NaN, -0.1)) {
+      val e = intercept[IllegalArgumentException](CodecPerf(2.0, bad))
+      assert(e.getMessage.contains("decompression") && e.getMessage.contains(bad.toString))
+    }
+  }
+
   test("PartitionStat rejects an empty codecPerfs") {
     val e = intercept[IllegalArgumentException](onePart.copy(codecPerfs = Vector.empty))
     assert(e.getMessage.contains("codecPerfs"))
