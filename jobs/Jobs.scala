@@ -5,6 +5,11 @@ import repro.exp._
 
 /** Shared session bootstrap for the spark-submit entrypoints. */
 object JobSession {
+  // Starting the session logs "WARN NativeCodeLoader: Unable to load
+  // native-hadoop library for your platform" once per JVM: Spark's bundled
+  // Hadoop finds no libhadoop.so and uses its built-in Java classes. Nothing
+  // here needs the native library: the lake lives in memory, and the codecs
+  // are java.util.zip, snappy-java and lz4-java, which load their own.
   def get(name: String): SparkSession =
     SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))

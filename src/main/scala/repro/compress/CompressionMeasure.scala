@@ -40,8 +40,11 @@ object CompressionMeasure {
   /** Measures a pre-serialized buffer. Decompression is repeated `reps`
     * times and the minimum is taken, which suppresses JIT/GC noise in the
     * sec-per-GB normalization.
+    *
+    * @throws IllegalArgumentException if `reps` is below 1, which times nothing
     */
   def measureBytes(raw: Array[Byte], codec: Codec, reps: Int = 3): CompMeasurement = {
+    require(reps >= 1, s"decompression reps must be at least 1, got $reps")
     val compressed = codec.compress(raw)
     // Warm once so the first timed rep is not a cold path.
     var sink = codec.decompress(compressed, raw.length).length

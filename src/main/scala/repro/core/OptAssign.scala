@@ -77,6 +77,8 @@ final case class OptAssignInstance(
   * minimizing eq. (1) subject to capacity and latency constraints.
   *
   * Strongly NP-hard in general (Theorem 1); this object provides
+  *  - [[terms]]: the unweighted eq. (1) terms and the latency of one
+  *    (partition, tier, codec), the one place they are priced
   *  - [[costOf]]: the eq. (1) objective contribution of one (partition, tier, codec)
   *  - [[greedyUnbounded]]: the optimal greedy for unbounded capacity (Theorem 3)
   *  - [[solve]]: the one way to solve an instance. Instances of at most
@@ -91,27 +93,55 @@ object OptAssign {
     */
   type Score = (OptAssignInstance, PartitionStat, Int, Int) => Double
 
+  /** The terms of eq. (1) for partition `p` on tier `l` with codec `k`,
+    * unweighted: the one place they are priced.
+    *
+    * @param storedGB     Sp/R, post-compression GB
+    * @param decompSec    D^k_n, decompression time of the whole partition
+    * @param latencySec   D^k_n + B_l, the latency the SLA bounds
+    * @param storageCents C^s_l * months * Sp/R
+    * @param changeCents  Delta_{L(p),l} * Sp/R
+    * @param decompCents  rho * C^c * D^k_n
+    * @param readCents    rho * C^r_l * Sp/R
+    */
+  final case class Terms(storedGB: Double, decompSec: Double, latencySec: Double,
+                         storageCents: Double, changeCents: Double,
+                         decompCents: Double, readCents: Double)
+
+  def terms(inst: OptAssignInstance, p: PartitionStat, l: Int, k: Int): Terms = {
+    val t         = inst.tiers(l)
+    val stored    = storedGB(p, k)
+    val decompSec = p.codecPerfs(k).decompSecPerGB * p.sizeGB
+    Terms(stored, decompSec, decompSec + t.ttfbSec,
+      t.storageCentsPerGBMonth * inst.months * stored,
+      CostModel.tierChangeCents(inst.tiers, p.currentTier, l, stored),
+      p.accesses * CostModel.computeCentsPerSec * decompSec,
+      p.accesses * t.readCentsPerGB * stored)
+  }
+
   /** Eq. (1) objective contribution of assigning partition `p` to tier `l`
     * with codec `k`:
     * (alpha*C^s_l*months + gamma*Delta_{L(p),l}) * Sp/R  +
     * beta*rho * (C^c * D + C^r_l * Sp/R).
     */
   def costOf(inst: OptAssignInstance, p: PartitionStat, l: Int, k: Int): Double = {
-    val t        = inst.tiers(l)
-    val perf     = p.codecPerfs(k)
-    val storedGB = p.sizeGB / perf.ratio
-    val w        = inst.weights
-    val storage  = w.alpha * t.storageCentsPerGBMonth * inst.months * storedGB
-    val change   = w.gamma * CostModel.tierChangeCents(inst.tiers, p.currentTier, l, storedGB)
-    val decompT  = perf.decompSecPerGB * p.sizeGB
-    val access   = w.beta * p.accesses *
-      (CostModel.computeCentsPerSec * decompT + t.readCentsPerGB * storedGB)
+    val t  = inst.tiers(l)
+    val tm = terms(inst, p, l, k)
+    val w  = inst.weights
+    // Keep this arithmetic order: each weight multiplies inside its product.
+    // alpha * storageCents + gamma * changeCents + beta * (decompCents +
+    // readCents) rounds differently, and the capacity repair's eviction
+    // order, so its plan, follows the last bits of these scores.
+    val storage = w.alpha * t.storageCentsPerGBMonth * inst.months * tm.storedGB
+    val change  = w.gamma * tm.changeCents
+    val access  = w.beta * p.accesses *
+      (CostModel.computeCentsPerSec * tm.decompSec + t.readCentsPerGB * tm.storedGB)
     storage + change + access
   }
 
   /** Latency feasibility of (partition, tier, codec): D^k_n + B_l <= T(P_n). */
   def latencyOk(inst: OptAssignInstance, p: PartitionStat, l: Int, k: Int): Boolean =
-    p.codecPerfs(k).decompSecPerGB * p.sizeGB + inst.tiers(l).ttfbSec <= p.latencySlaSec
+    terms(inst, p, l, k).latencySec <= p.latencySlaSec
 
   /** Codec feasibility: existing partitions keep their codec (last ILP constraint). */
   def codecOk(p: PartitionStat, k: Int): Boolean =

@@ -234,7 +234,22 @@ object Scope {
   final case class Variant(key: String, label: String, adapts: String,
                            partitioned: Boolean, tiers: Vector[Tier], compression: Boolean,
                            capacityFracs: Option[Vector[Double]], weights: CostWeights,
-                           latencyLex: Boolean)
+                           latencyLex: Boolean) {
+
+    /** The OPTASSIGN instance this row solves over `stats`: the identity
+      * codec only if the row does not compress, and each capacity fraction
+      * turned into GB of the stats' raw total.
+      */
+    def instance(stats: Vector[PartitionStat], months: Double): OptAssignInstance = {
+      val offered = if (compression) stats else stats.map(s => s.copy(codecPerfs = Vector(s.codecPerfs.head)))
+      val totalRawGB = offered.map(_.sizeGB).sum
+      val caps = capacityFracs match {
+        case Some(fr) => fr.map(f => if (f.isInfinity) Double.PositiveInfinity else f * totalRawGB)
+        case None     => Vector.fill(tiers.length)(Double.PositiveInfinity)
+      }
+      OptAssignInstance(offered, tiers, caps, weights, months)
+    }
+  }
 
   /** Capacity reservations as fractions of the raw volume. The paper's
     * Table XII reservations are only mildly binding (its Hermes rows keep
@@ -291,7 +306,7 @@ object Scope {
   /** Prepared per-partition inputs for one policy family: raw GB (scaled),
     * access counts, and per-codec performance.
     */
-  final case class PreparedParts(parts: Vector[Part], stats: Vector[PartitionStat])
+  final case class PreparedParts(stats: Vector[PartitionStat])
 
   /** Builds OPTASSIGN partition stats: sizes from the catalog scaled by
     * `bytesScale` (SF=0.1 measured bytes -> nominal 100 GB / 1 TB volumes),
@@ -302,7 +317,7 @@ object Scope {
     // One Spark job collects every sample; each is serialized once and its
     // codecs timed one partition at a time on the driver, away from concurrent
     // Spark work. decompSecPerGB is measured per raw GB; absolute decompression
-    // time for the (scaled) partition follows inside OptAssign.costOf.
+    // time for the (scaled) partition follows inside OptAssign.terms.
     val perfs =
       if (compression) lake.sampleParts(parts, sampleCap).map { s =>
         CodecPerf.identity +:
@@ -313,52 +328,59 @@ object Scope {
       PartitionStat(p.id, p.spanBytes(lake.catalog) * bytesScale / 1e9, p.rho, latencySlaSec = 1e7,
         currentTier = -1, currentCodec = -1, codecPerfs = perf)
     }
-    PreparedParts(parts, stats)
+    PreparedParts(stats)
   }
 
-  /** Runs one policy variant and produces its report row. */
+  /** Runs one policy variant and produces its report row.
+    *
+    * @throws IllegalArgumentException if no plan meets the row's constraints,
+    *         naming each partition whose latency SLA no option meets
+    */
   def runVariant(v: Variant, prepared: PreparedParts, months: Double): PolicyReport = {
-    val stats = prepared.stats.map { s =>
-      if (v.compression) s else s.copy(codecPerfs = Vector(s.codecPerfs.head))
-    }
-    val totalRawGB = stats.map(_.sizeGB).sum
-    val caps = v.capacityFracs match {
-      case Some(fr) => fr.map(f => if (f.isInfinity) Double.PositiveInfinity else f * totalRawGB)
-      case None     => Vector.fill(v.tiers.length)(Double.PositiveInfinity)
-    }
-    val inst = OptAssignInstance(stats, v.tiers, caps, v.weights, months)
+    val inst = v.instance(prepared.stats, months)
     val chosen = OptAssign.solve(inst, if (v.latencyLex) latencyLexScore else OptAssign.costOf)
-      .getOrElse(throw new IllegalStateException(s"variant ${v.key} infeasible"))
-    report(v, inst, chosen, months)
+      .getOrElse(throw new IllegalArgumentException(whyInfeasible(v, inst)))
+    report(v, inst, chosen)
+  }
+
+  /** Each partition of `inst` whose SLA is below its fastest (tier, codec)
+    * option's latency, with both; or, if there is none, the capacities.
+    */
+  private def whyInfeasible(v: Variant, inst: OptAssignInstance): String = {
+    val unmet = inst.parts.flatMap { p =>
+      val fastest = (for (l <- inst.tiers.indices; k <- p.codecPerfs.indices)
+        yield OptAssign.terms(inst, p, l, k).latencySec).min
+      if (fastest <= p.latencySlaSec) None
+      else Some(s"partition ${p.id} (SLA ${p.latencySlaSec} s, fastest option $fastest s)")
+    }
+    if (unmet.isEmpty) s"variant ${v.key} infeasible: no plan fits the tier capacities"
+    else s"variant ${v.key} infeasible: no tier and codec meets the latency SLA of ${unmet.mkString(", ")}"
   }
 
   /** HCompress adaptation: minimize expected (access-weighted) latency
     * = rho * (decompression time + TTFB), with cost as the tiebreak.
     */
   def latencyLexScore(inst: OptAssignInstance, p: PartitionStat, l: Int, k: Int): Double =
-    math.max(p.accesses, 1.0) *
-      (p.codecPerfs(k).decompSecPerGB * p.sizeGB + inst.tiers(l).ttfbSec) * 1e6 +
+    math.max(p.accesses, 1.0) * OptAssign.terms(inst, p, l, k).latencySec * 1e6 +
       OptAssign.costOf(inst, p, l, k)
 
-  /** Cost/latency breakdown at reporting weights (1,1,1). */
-  def report(v: Variant, inst: OptAssignInstance, chosen: Seq[Assignment],
-             months: Double): PolicyReport = {
+  /** Cost/latency breakdown at reporting weights (1,1,1), over the
+    * instance's own billing period.
+    */
+  def report(v: Variant, inst: OptAssignInstance, chosen: Seq[Assignment]): PolicyReport = {
     val byId = inst.parts.map(p => p.id -> p).toMap
     var storage, decomp, read = 0.0
     var ttfbW, decompW, rhoSum = 0.0
     val counts = scala.collection.mutable.Map.empty[String, Int]
     for (a <- chosen) {
-      val p        = byId(a.id)
-      val t        = inst.tiers(a.tier)
-      val perf     = p.codecPerfs(a.codec)
-      val storedGB = p.sizeGB / perf.ratio
-      val decompT  = perf.decompSecPerGB * p.sizeGB
-      storage += t.storageCentsPerGBMonth * months * storedGB +
-        CostModel.tierChangeCents(inst.tiers, p.currentTier, a.tier, storedGB)
-      decomp += p.accesses * CostModel.computeCentsPerSec * decompT
-      read   += p.accesses * t.readCentsPerGB * storedGB
+      val p  = byId(a.id)
+      val t  = inst.tiers(a.tier)
+      val tm = OptAssign.terms(inst, p, a.tier, a.codec)
+      storage += tm.storageCents + tm.changeCents
+      decomp  += tm.decompCents
+      read    += tm.readCents
       ttfbW   += p.accesses * t.ttfbSec
-      decompW += p.accesses * decompT
+      decompW += p.accesses * tm.decompSec
       rhoSum  += p.accesses
       counts.update(t.name, counts.getOrElse(t.name, 0) + 1)
     }

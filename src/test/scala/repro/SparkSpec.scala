@@ -19,6 +19,11 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
 }
 
 object SparkSpec {
+  // Building the session logs "WARN NativeCodeLoader: Unable to load
+  // native-hadoop library for your platform" once per run: Spark's bundled
+  // Hadoop finds no libhadoop.so and uses its built-in Java classes. No test
+  // needs the native library: lakes are cached in memory, and the codecs are
+  // java.util.zip, snappy-java and lz4-java, which load their own.
   lazy val shared: SparkSession = {
     val s = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))

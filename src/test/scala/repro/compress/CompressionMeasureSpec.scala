@@ -11,6 +11,8 @@ class CompressionMeasureSpec extends AnyFunSuite {
     assert(m.compressedBytes < m.rawBytes)
     assert(math.abs(m.ratio - raw.length.toDouble / m.compressedBytes) < 1e-9)
     assert(m.decompSecPerGB > 0)
+    val e = intercept[IllegalArgumentException](CompressionMeasure.measureBytes(raw, Codecs.Gzip, reps = 0))
+    assert(e.getMessage.contains("got 0"))
   }
 
   test("identity codec: ratio 1, decompression time 0") {

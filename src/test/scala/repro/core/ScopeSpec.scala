@@ -163,6 +163,17 @@ class ScopeSpec extends AnyFunSuite with SparkSpec {
     assert(Scope.variants.count(_.compression) == 7)
   }
 
+  test("runVariant names each partition whose SLA no tier meets, with the fastest latency") {
+    def stat(id: Int, sla: Double) = PartitionStat(id, sizeGB = 1.0, accesses = 1.0, latencySlaSec = sla,
+      currentTier = -1, currentCodec = -1, codecPerfs = Vector(CodecPerf.identity))
+    val prepared = Scope.PreparedParts(Vector(stat(3, 0.001), stat(4, 1e7)))
+    val e = intercept[IllegalArgumentException](
+      Scope.runVariant(Scope.variants.find(_.key == "hermes").get, prepared, months = 1.0))
+    assert(e.getMessage.contains("hermes") && e.getMessage.contains("partition 3 (SLA 0.001 s") &&
+      e.getMessage.contains("fastest option 0.0053 s"), e.getMessage)
+    assert(!e.getMessage.contains("partition 4"))
+  }
+
   test("end-to-end runAll: report shape and headline orderings") {
     val reports = Scope.runAll(lake, familiesPerTable = 4, zipfAlpha = 1.0, freqScale = 10.0,
       bytesScale = 100.0, months = 5.5, GPartConfig(rhoC = 3.0, rhoCAbs = 100.0,

@@ -40,11 +40,9 @@ class Fig5Spec extends AnyFunSuite with SparkSpec {
     for ((a, b) <- Seq((1.0, 1.0), (1.0, 5.0), (5.0, 1.0))) {
       val w = CostWeights(alpha = a, beta = b)
       val v = Scope.variants.find(_.key == "scope-nocap").get.copy(weights = w)
-      def inst(stats: Vector[PartitionStat]) = OptAssignInstance(stats, v.tiers,
-        Vector.fill(v.tiers.length)(Double.PositiveInfinity), w, months = 5.5)
-      val truthInst  = inst(truth.stats)
+      val truthInst  = v.instance(truth.stats, months = 5.5)
       val gtChosen   = OptAssign.solve(truthInst).get
-      val predChosen = OptAssign.solve(inst(predStats)).get
+      val predChosen = OptAssign.solve(v.instance(predStats, months = 5.5)).get
       // Bill both assignments with the ground-truth instance's weighted
       // objective: the truth-driven greedy is provably optimal there
       // (Theorem 3), so the gap is exactly the price of prediction error.
@@ -54,8 +52,8 @@ class Fig5Spec extends AnyFunSuite with SparkSpec {
         "ground-truth-driven assignment is optimal under ground-truth billing")
       assert(prCost <= gtCost * 1.2 + 1e-9,
         s"alpha=$a beta=$b: prediction error cost $prCost vs optimal $gtCost")
-      val gt = Scope.report(v, truthInst, gtChosen, 5.5)
-      val pr = Scope.report(v, truthInst, predChosen, 5.5)
+      val gt = Scope.report(v, truthInst, gtChosen)
+      val pr = Scope.report(v, truthInst, predChosen)
       assert(math.abs(pr.readLatencySec - gt.readLatencySec) < 0.1,
         s"alpha=$a beta=$b: latency curves must coincide")
     }
