@@ -64,6 +64,6 @@ class TableIII_IVBench extends AnyFunSuite with BenchBase {
     val known = Tiering.knownAccesses(acc, ExpTiering.T0 + 2, 2)
     val plan = acc.datasets.map(ds => Assignment(ds.id, tables.predictedTiers(ds.id), 0))
     assert(b("OptAssign (Hot, Cool)", "Predicted", 2) ==
-      Tiering.benefitPct(Tiering.instance(acc, CostModel.hotCool, 0, 2, known), 0, plan, known))
+      Tiering.benefitPct(Tiering.instance(acc, CostModel.hotCool, 0, 2, known), plan, known))
   }
 }

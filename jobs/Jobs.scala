@@ -23,10 +23,9 @@ object JobSession {
   def sf: Double = sys.env.getOrElse("REPRO_SF", "0.1").toDouble
 }
 
-/** Table II: % cost benefit of OPTASSIGN (K=0) for 4 customer accounts. */
+/** Table II: % cost benefit of OPTASSIGN (K=0) for 4 customer accounts (no Spark). */
 object TableII {
   def main(args: Array[String]): Unit = {
-    JobSession.get("tableII") // harness is metadata-only but keeps the entrypoint uniform
     println(f"${"Customer"}%-12s ${"Size(PB)"}%9s ${"2 mos %"}%9s ${"6 mos %"}%9s")
     ExpTiering.tableII().foreach(r =>
       println(f"${r.customer}%-12s ${r.totalPB}%9.3f ${r.benefit2mo}%9.2f ${r.benefit6mo}%9.2f"))

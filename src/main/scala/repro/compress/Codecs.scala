@@ -22,12 +22,6 @@ sealed trait Codec extends Serializable {
 
 object Codecs {
 
-  case object Identity extends Codec {
-    val name = "none"
-    def compress(raw: Array[Byte]): Array[Byte] = raw
-    def decompress(c: Array[Byte], rawLen: Int): Array[Byte] = c
-  }
-
   case object Gzip extends Codec {
     val name = "gzip"
     def compress(raw: Array[Byte]): Array[Byte] = {
@@ -63,7 +57,7 @@ object Codecs {
   }
 
   /** The paper's evaluated compressing schemes. OPTASSIGN puts the
-    * no-compression option before them, at index 0.
+    * no-compression option, `CodecPerf.identity`, before them, at index 0.
     */
   val compressing: Vector[Codec] = Vector(Gzip, SnappyCodec, Lz4)
 }

@@ -58,9 +58,7 @@ object CompressionMeasure {
       i += 1
     }
     require(sink >= 0 || sink < 0) // keep `sink` live so the JIT cannot elide the work
-    val secPerGB =
-      if (codec == Codecs.Identity) 0.0
-      else best / 1e9 / (raw.length.toDouble / (1L << 30))
+    val secPerGB = best / 1e9 / (raw.length.toDouble / (1L << 30))
     CompMeasurement(raw.length.toLong, compressed.length.toLong, secPerGB)
   }
 }

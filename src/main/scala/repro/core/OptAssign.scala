@@ -29,8 +29,8 @@ object CodecPerf {
   * @param currentTier  L(P_n) — current tier index, or -1 for newly ingested data
   * @param currentCodec K(P_n) — codec already applied (existing partitions may
   *                     not change codec, per the ILP's last constraint); -1 if new
-  * @param codecPerfs   per-codec predicted performance; index 0 MUST be the
-  *                     "no compression" identity codec
+  * @param codecPerfs   per-codec predicted performance; index 0 is the
+  *                     "no compression" option, [[CodecPerf.identity]]
   */
 final case class PartitionStat(
     id: Int,
@@ -46,6 +46,10 @@ final case class PartitionStat(
   require(latencySlaSec >= 0,
     s"partition $id: latencySlaSec must be a non-negative number, got $latencySlaSec")
   require(codecPerfs.nonEmpty, s"partition $id: codecPerfs must hold at least the identity codec")
+  require(codecPerfs.head == CodecPerf.identity,
+    s"partition $id: codec 0 must be the identity ${CodecPerf.identity}, got ${codecPerfs.head}")
+  require(currentCodec < codecPerfs.length,
+    s"partition $id: currentCodec $currentCodec is not one of its ${codecPerfs.length} codecs")
 }
 
 /** A solved assignment: partition `id` goes to `tier` with codec `codec`. */
@@ -64,9 +68,10 @@ final case class OptAssignInstance(
     parts: IndexedSeq[PartitionStat],
     tiers: IndexedSeq[Tier],
     capacityGB: IndexedSeq[Double],
-    weights: CostWeights = CostWeights(),
-    months: Double = 1.0,
+    weights: CostWeights,
+    months: Double,
 ) {
+  require(tiers.nonEmpty, "an instance needs at least one tier")
   require(capacityGB.length == tiers.length, "one capacity per tier")
   require(parts.iterator.map(_.id).distinct.size == parts.size, "partition ids must be distinct")
   require(capacityGB.forall(_ >= 0),
@@ -85,6 +90,7 @@ final case class OptAssignInstance(
   *    `ExactMaxParts` (12) partitions get the exact branch-and-bound of the
   *    eq. (1) ILP; larger ones, and small ones whose search runs out of
   *    nodes, get the greedy + capacity repair.
+  *  - [[infeasibility]]: why an instance has no plan
   */
 object OptAssign {
 
@@ -192,6 +198,27 @@ object OptAssign {
         case BudgetExhausted => greedyRepair(inst, score)
       }
     found.map(checked(inst, _))
+  }
+
+  /** Partitions [[infeasibility]] names before it counts the rest. */
+  private val NamedUnmet: Int = 5
+
+  /** Why `inst` has no plan: the partitions whose latency SLA is below the
+    * latency of their fastest tier and allowed codec, with both (the first
+    * few by position, then a count of the rest); or, if there are none, the
+    * capacities.
+    */
+  def infeasibility(inst: OptAssignInstance): String = {
+    val unmet = inst.parts.flatMap { p =>
+      val fastest = (for (l <- inst.tiers.indices; k <- p.codecPerfs.indices if codecOk(p, k))
+        yield terms(inst, p, l, k).latencySec).min
+      if (fastest <= p.latencySlaSec) None
+      else Some(s"partition ${p.id} (SLA ${p.latencySlaSec} s, fastest option $fastest s)")
+    }
+    val more = unmet.length - NamedUnmet
+    if (unmet.isEmpty) "no plan fits the tier capacities"
+    else s"no tier and codec meets the latency SLA of ${unmet.take(NamedUnmet).mkString(", ")}" +
+      (if (more > 0) s" and $more more partitions" else "")
   }
 
   /** Returns `plan` if it satisfies every OPTASSIGN constraint of `inst`;

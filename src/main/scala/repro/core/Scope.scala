@@ -236,9 +236,9 @@ object Scope {
                            capacityFracs: Option[Vector[Double]], weights: CostWeights,
                            latencyLex: Boolean) {
 
-    /** The OPTASSIGN instance this row solves over `stats`: the identity
-      * codec only if the row does not compress, and each capacity fraction
-      * turned into GB of the stats' raw total.
+    /** The OPTASSIGN instance this row solves over `stats`: only codec 0,
+      * the identity, if the row does not compress, and each capacity
+      * fraction turned into GB of the stats' raw total.
       */
     def instance(stats: Vector[PartitionStat], months: Double): OptAssignInstance = {
       val offered = if (compression) stats else stats.map(s => s.copy(codecPerfs = Vector(s.codecPerfs.head)))
@@ -334,27 +334,14 @@ object Scope {
   /** Runs one policy variant and produces its report row.
     *
     * @throws IllegalArgumentException if no plan meets the row's constraints,
-    *         naming each partition whose latency SLA no option meets
+    *         with [[OptAssign.infeasibility]]'s explanation
     */
   def runVariant(v: Variant, prepared: PreparedParts, months: Double): PolicyReport = {
     val inst = v.instance(prepared.stats, months)
     val chosen = OptAssign.solve(inst, if (v.latencyLex) latencyLexScore else OptAssign.costOf)
-      .getOrElse(throw new IllegalArgumentException(whyInfeasible(v, inst)))
+      .getOrElse(throw new IllegalArgumentException(
+        s"variant ${v.key} infeasible: ${OptAssign.infeasibility(inst)}"))
     report(v, inst, chosen)
-  }
-
-  /** Each partition of `inst` whose SLA is below its fastest (tier, codec)
-    * option's latency, with both; or, if there is none, the capacities.
-    */
-  private def whyInfeasible(v: Variant, inst: OptAssignInstance): String = {
-    val unmet = inst.parts.flatMap { p =>
-      val fastest = (for (l <- inst.tiers.indices; k <- p.codecPerfs.indices)
-        yield OptAssign.terms(inst, p, l, k).latencySec).min
-      if (fastest <= p.latencySlaSec) None
-      else Some(s"partition ${p.id} (SLA ${p.latencySlaSec} s, fastest option $fastest s)")
-    }
-    if (unmet.isEmpty) s"variant ${v.key} infeasible: no plan fits the tier capacities"
-    else s"variant ${v.key} infeasible: no tier and codec meets the latency SLA of ${unmet.mkString(", ")}"
   }
 
   /** HCompress adaptation: minimize expected (access-weighted) latency

@@ -32,12 +32,12 @@ object ExpTiering {
     val newIngestEstimate =
       if (creationReads.isEmpty) 1.0 else creationReads.sum / creationReads.length
     acc.datasets.map { ds =>
-      val mean3 = (math.max(0, t0 - 3) until t0).map(ds.reads).sum / 3.0
+      val mean3 = ds.readsIn(t0 - 3, t0) / 3.0
       val pred = (t0 until t0 + horizon).map { m =>
         val seasonal = if (m - 6 >= 0 && m - 6 < t0) ds.reads(m - 6) else 0.0
         math.max(seasonal, mean3)
       }.sum
-      val recentlyLive = (math.max(0, t0 - 9) until t0).map(ds.reads).sum > 0
+      val recentlyLive = ds.readsIn(t0 - 9, t0) > 0
       val isNew        = ds.createdMonth >= t0
       ds.id -> (
         if (isNew) math.max(pred, newIngestEstimate)
@@ -60,7 +60,7 @@ object ExpTiering {
         val inst   = Tiering.instance(acc, tiers, hotIdx = 0, horizon,
           projectedAccesses(acc, T0, horizon))
         val chosen = Tiering.optAssignTiers(inst)
-        Tiering.benefitPct(inst, hotIdx = 0, chosen, Tiering.knownAccesses(acc, T0, horizon))
+        Tiering.benefitPct(inst, chosen, Tiering.knownAccesses(acc, T0, horizon))
       }
       TableIIRow(acc.name, acc.totalPB,
         benefit(2, CostModel.hotCool),
@@ -92,7 +92,7 @@ object ExpTiering {
     def inst(horizon: Int, tiers: Vector[Tier]) =
       Tiering.instance(acc, tiers, hotIdx = 0, horizon, known(horizon))
     def benefitOf(assignment: Vector[Assignment], horizon: Int, tiers: Vector[Tier]): Double =
-      Tiering.benefitPct(inst(horizon, tiers), hotIdx = 0, assignment, known(horizon))
+      Tiering.benefitPct(inst(horizon, tiers), assignment, known(horizon))
 
     val predicted = Seq(2, 4).map(h => h -> AccessPredictor.trainEval(spark, acc, hotCool, hotIdx = 0,
       trainT0s = 6 to 13, testT0 = t0, horizon = h)).toMap
@@ -100,7 +100,7 @@ object ExpTiering {
     val rows = Vector.newBuilder[TableIVRow]
 
     rows += TableIVRow("All hot", "N/A", 2,
-      benefitOf(TieringBaselines.allHot(inst(2, hotCool), 0), 2, hotCool))
+      benefitOf(TieringBaselines.allHot(inst(2, hotCool)), 2, hotCool))
     rows += TableIVRow("\"Hot\" if data accessed in last 2 mos", "N/A", 4,
       benefitOf(TieringBaselines.hotIfAccessedRecently(acc, 0, 1, t0, 2), 4, hotCool))
     rows += TableIVRow("\"Hot\" if data accessed in last 1 mo", "N/A", 4,

@@ -32,7 +32,14 @@ object EnterpriseSim {
     * @param writes writes(m) = number of write accesses in month m
     */
   final case class Dataset(id: Int, sizeGB: Double, createdMonth: Int, pattern: Pattern,
-                           reads: IndexedSeq[Double], writes: IndexedSeq[Double])
+                           reads: IndexedSeq[Double], writes: IndexedSeq[Double]) {
+
+    /** Sum of reads over months [from, until) clipped to the timeline,
+      * added in ascending month order.
+      */
+    def readsIn(from: Int, until: Int): Double =
+      (math.max(0, from) until math.min(until, reads.length)).foldLeft(0.0)(_ + reads(_))
+  }
 
   /** An account: a named collection of datasets over a common timeline. */
   final case class Account(name: String, datasets: Vector[Dataset], nMonths: Int) {

@@ -14,10 +14,6 @@ object Tiering {
     */
   val accessedSlaSec: Double = 120.0
 
-  /** Sum of reads in months [t0, t0 + horizon). */
-  def futureAccesses(ds: EnterpriseSim.Dataset, t0: Int, horizon: Int): Double =
-    (t0 until math.min(t0 + horizon, ds.reads.length)).map(ds.reads).sum
-
   /** Builds the OPTASSIGN instance (K = 0) for an account at month t0.
     *
     * @param tiers     tier menu for the run (e.g. CostModel.hotCool);
@@ -51,7 +47,7 @@ object Tiering {
 
   /** Known (ground-truth) projected accesses for [t0, t0+horizon). */
   def knownAccesses(acc: EnterpriseSim.Account, t0: Int, horizon: Int): Map[Int, Double] =
-    acc.datasets.map(ds => ds.id -> futureAccesses(ds, t0, horizon)).toMap
+    acc.datasets.map(ds => ds.id -> ds.readsIn(t0, t0 + horizon)).toMap
 
   /** Evaluates an assignment against the *actual* future accesses (the
     * paper's "% benefit after making errors"): predictions choose the tier,
@@ -65,18 +61,23 @@ object Tiering {
     OptAssign.totalCost(billed, assignment)
   }
 
-  /** % cost benefit of `assignment` over all-Hot under actual accesses. */
-  def benefitPct(inst: OptAssignInstance, hotIdx: Int, assignment: Seq[Assignment],
+  /** % cost benefit of `assignment` over the instance's own placement
+    * (all-Hot, see [[TieringBaselines.allHot]]) under actual accesses.
+    */
+  def benefitPct(inst: OptAssignInstance, assignment: Seq[Assignment],
                  actualAccesses: Map[Int, Double]): Double = {
-    val base = actualCost(inst, TieringBaselines.allHot(inst, hotIdx), actualAccesses)
+    val base = actualCost(inst, TieringBaselines.allHot(inst), actualAccesses)
     val got  = actualCost(inst, assignment, actualAccesses)
     (base - got) / base * 100.0
   }
 
   /** OPTASSIGN's tier choice per dataset (with no capacity bounds this is
     * Theorem 3's greedy).
+    *
+    * @throws IllegalArgumentException if no plan meets the instance's
+    *         constraints, with [[OptAssign.infeasibility]]'s explanation
     */
   def optAssignTiers(inst: OptAssignInstance): Vector[Assignment] =
     OptAssign.solve(inst).getOrElse(
-      throw new IllegalStateException("tiering instance must be feasible"))
+      throw new IllegalArgumentException(s"tiering instance infeasible: ${OptAssign.infeasibility(inst)}"))
 }

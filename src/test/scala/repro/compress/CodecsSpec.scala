@@ -8,12 +8,9 @@ class CodecsSpec extends AnyFunSuite {
 
   private val textual = ("the quick brown fox " * 500).getBytes(StandardCharsets.UTF_8)
 
-  /** Every codec: the no-compression option and the compressing ones. */
-  private val all: Vector[Codec] = Codecs.Identity +: Codecs.compressing
-
   test("all codecs round-trip random binary data (50 buffers each)") {
     val rng = new Random(50)
-    for (codec <- all; _ <- 1 to 50) {
+    for (codec <- Codecs.compressing; _ <- 1 to 50) {
       val raw = new Array[Byte](rng.nextInt(5000))
       rng.nextBytes(raw)
       val back = codec.decompress(codec.compress(raw), raw.length)
@@ -22,22 +19,17 @@ class CodecsSpec extends AnyFunSuite {
   }
 
   test("all codecs round-trip the empty buffer") {
-    for (codec <- all) {
+    for (codec <- Codecs.compressing) {
       val back = codec.decompress(codec.compress(Array.empty[Byte]), 0)
       assert(back.isEmpty, codec.name)
     }
   }
 
   test("all codecs round-trip highly repetitive text") {
-    for (codec <- all) {
+    for (codec <- Codecs.compressing) {
       val back = codec.decompress(codec.compress(textual), textual.length)
       assert(back.sameElements(textual), codec.name)
     }
-  }
-
-  test("identity codec is a no-op") {
-    val raw = "hello".getBytes
-    assert(Codecs.Identity.compress(raw) eq raw)
   }
 
   test("compressing codecs shrink repetitive text (ratio > 2)") {
@@ -71,10 +63,9 @@ class CodecsSpec extends AnyFunSuite {
 
   test("codec registry: compressing is gzip, snappy, lz4") {
     assert(Codecs.compressing == Vector(Codecs.Gzip, Codecs.SnappyCodec, Codecs.Lz4))
-    assert(!Codecs.compressing.contains(Codecs.Identity))
   }
 
   test("codec names are distinct") {
-    assert(all.map(_.name).distinct.length == all.length)
+    assert(Codecs.compressing.map(_.name).distinct.length == Codecs.compressing.length)
   }
 }

@@ -15,12 +15,6 @@ class CompressionMeasureSpec extends AnyFunSuite {
     assert(e.getMessage.contains("got 0"))
   }
 
-  test("identity codec: ratio 1, decompression time 0") {
-    val m = CompressionMeasure.measureBytes("abcdef".getBytes, Codecs.Identity)
-    assert(m.ratio == 1.0)
-    assert(m.decompSecPerGB == 0.0)
-  }
-
   test("snappy decompresses faster than gzip per GB (the latency tradeoff COMPREDICT learns)") {
     val raw = ("enterprise data lake partition content " * 30000).getBytes
     val g = CompressionMeasure.measureBytes(raw, Codecs.Gzip, reps = 5)

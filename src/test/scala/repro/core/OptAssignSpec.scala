@@ -254,12 +254,52 @@ class OptAssignSpec extends AnyFunSuite {
     assert(e.getMessage.contains("codecPerfs"))
   }
 
+  test("PartitionStat rejects a codec 0 other than the identity") {
+    val compressing = CodecPerf(2.0, 3.0)
+    val e0 = intercept[IllegalArgumentException](onePart.copy(codecPerfs = Vector(compressing)))
+    assert(e0.getMessage.contains("partition 0") && e0.getMessage.contains("codec 0") &&
+      e0.getMessage.contains(compressing.toString), e0.getMessage)
+  }
+
+  test("PartitionStat rejects a currentCodec outside its codecPerfs") {
+    val e = intercept[IllegalArgumentException](onePart.copy(currentTier = 1, currentCodec = 2))
+    assert(e.getMessage.contains("partition 0") && e.getMessage.contains("currentCodec 2"), e.getMessage)
+  }
+
+  test("infeasibility names an existing partition whose fixed codec misses the SLA on every tier") {
+    // Codec 1 takes 3 s/GB x 4 GB = 12 s to decompress; the identity would
+    // meet the 1 s SLA on any online tier, but the partition may not change codec.
+    val stuck = onePart.copy(latencySlaSec = 1.0, currentTier = 1, currentCodec = 1)
+    val inst  = simpleInst(Vector(stuck, onePart.copy(id = 1)))
+    assert(OptAssign.solve(inst).isEmpty)
+    val why = OptAssign.infeasibility(inst)
+    val fastest = 12.0 + CostModel.Premium.ttfbSec
+    assert(why.contains(s"partition 0 (SLA 1.0 s, fastest option $fastest s)"), why)
+    assert(!why.contains("partition 1") && !why.contains("capacities"), why)
+  }
+
+  test("infeasibility names five partitions and counts the rest, or blames the capacities") {
+    val parts = Vector.tabulate(8)(i => onePart.copy(id = i, latencySlaSec = 1e-6))
+    val why = OptAssign.infeasibility(simpleInst(parts))
+    assert((0 until 5).forall(i => why.contains(s"partition $i (SLA 1.0E-6 s")), why)
+    assert(!why.contains("partition 5") && why.endsWith(" and 3 more partitions"), why)
+    val tooBig = simpleInst(Vector(onePart), caps = Some(Vector(1.0, 1.0, 1.0)))
+    assert(OptAssign.solve(tooBig).isEmpty)
+    assert(OptAssign.infeasibility(tooBig) == "no plan fits the tier capacities")
+  }
+
   test("OptAssignInstance rejects NaN or negative capacities") {
     for (bad <- Seq(Double.NaN, -2.0)) {
       val e = intercept[IllegalArgumentException](
         simpleInst(Vector(onePart), caps = Some(Vector(1.0, bad, Double.PositiveInfinity))))
       assert(e.getMessage.contains("capacities"))
     }
+  }
+
+  test("OptAssignInstance rejects an empty tier menu") {
+    val e = intercept[IllegalArgumentException](
+      OptAssignInstance(Vector(onePart), Vector.empty, Vector.empty, CostWeights(), months = 1.0))
+    assert(e.getMessage.contains("at least one tier"))
   }
 
   test("OptAssignInstance rejects repeated partition ids") {

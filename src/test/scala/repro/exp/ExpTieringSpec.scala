@@ -50,7 +50,7 @@ class ExpTieringSpec extends AnyFunSuite with SparkSpec {
     val acc   = EnterpriseSim.tableIIIAccount()
     val known = Tiering.knownAccesses(acc, ExpTiering.T0 + 2, 2)
     val plan  = acc.datasets.map(ds => Assignment(ds.id, tables.predictedTiers(ds.id), 0))
-    assert(pred2 == Tiering.benefitPct(Tiering.instance(acc, CostModel.hotCool, 0, 2, known), 0, plan, known))
+    assert(pred2 == Tiering.benefitPct(Tiering.instance(acc, CostModel.hotCool, 0, 2, known), plan, known))
   }
 
   test("Table III harness: high-accuracy confusion matrix on the 760-dataset account") {

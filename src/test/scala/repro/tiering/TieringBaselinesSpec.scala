@@ -12,7 +12,7 @@ class TieringBaselinesSpec extends AnyFunSuite {
     Tiering.knownAccesses(acc, t0, 2))
 
   test("allHot assigns every dataset to the hot index") {
-    assert(TieringBaselines.allHot(inst, 0).forall(_.tier == 0))
+    assert(TieringBaselines.allHot(inst).forall(_.tier == 0))
   }
 
   test("hotIfAccessedRecently: recently-read datasets stay Hot, others go Cool") {

@@ -35,15 +35,22 @@ class TieringSpec extends AnyFunSuite {
     assert(inst.parts.find(_.id == acc.datasets(1).id).get.latencySlaSec.isPosInfinity)
   }
 
-  test("futureAccesses sums the horizon window only") {
+  test("readsIn sums the horizon window only") {
     val ds = acc.datasets.maxBy(_.reads.sum)
-    assert(Tiering.futureAccesses(ds, t0, 2) == ds.reads(t0) + ds.reads(t0 + 1))
+    assert(ds.readsIn(t0, t0 + 2) == ds.reads(t0) + ds.reads(t0 + 1))
+  }
+
+  test("readsIn clips the window to the timeline") {
+    val ds = acc.datasets.maxBy(_.reads.sum)
+    assert(ds.readsIn(-3, 2) == ds.reads(0) + ds.reads(1))
+    assert(ds.readsIn(16, 40) == ds.reads(16) + ds.reads(17))
+    assert(ds.readsIn(20, 30) == 0.0 && ds.readsIn(5, 5) == 0.0)
   }
 
   test("all-Hot baseline has zero benefit") {
     val known = Tiering.knownAccesses(acc, t0, 2)
     val inst = Tiering.instance(acc, CostModel.hotCool, 0, 2, known)
-    val b = Tiering.benefitPct(inst, 0, TieringBaselines.allHot(inst, 0), known)
+    val b = Tiering.benefitPct(inst, TieringBaselines.allHot(inst), known)
     assert(math.abs(b) < 1e-9)
   }
 
@@ -51,14 +58,14 @@ class TieringSpec extends AnyFunSuite {
     val known = Tiering.knownAccesses(acc, t0, 4)
     val inst = Tiering.instance(acc, CostModel.hotCool, 0, 4, known)
     val opt = Tiering.optAssignTiers(inst)
-    val optBenefit = Tiering.benefitPct(inst, 0, opt, known)
+    val optBenefit = Tiering.benefitPct(inst, opt, known)
     // any rule-based assignment must be no better
     for (w <- Seq(1, 2)) {
       val rule = TieringBaselines.hotIfAccessedRecently(acc, 0, 1, t0, w)
-      assert(Tiering.benefitPct(inst, 0, rule, known) <= optBenefit + 1e-9)
+      assert(Tiering.benefitPct(inst, rule, known) <= optBenefit + 1e-9)
     }
     val prev = TieringBaselines.prevMonthOptimal(acc, CostModel.hotCool, 0, t0)
-    assert(Tiering.benefitPct(inst, 0, prev, known) <= optBenefit + 1e-9)
+    assert(Tiering.benefitPct(inst, prev, known) <= optBenefit + 1e-9)
     assert(optBenefit > 0, "skewed workloads must leave tiering savings on the table")
   }
 
@@ -84,7 +91,7 @@ class TieringSpec extends AnyFunSuite {
     def benefit(h: Int): Double = {
       val known = Tiering.knownAccesses(acc, t0, h)
       val inst = Tiering.instance(acc, CostModel.hotCool, 0, h, known)
-      Tiering.benefitPct(inst, 0, Tiering.optAssignTiers(inst), known)
+      Tiering.benefitPct(inst, Tiering.optAssignTiers(inst), known)
     }
     assert(benefit(2) <= benefit(4) + 1e-9)
     assert(benefit(4) <= benefit(6) + 1e-9)
@@ -94,8 +101,8 @@ class TieringSpec extends AnyFunSuite {
     val known = Tiering.knownAccesses(acc, t0, 6)
     val instHC = Tiering.instance(acc, CostModel.hotCool, 0, 6, known)
     val instHCA = Tiering.instance(acc, CostModel.hotCoolArchive, 0, 6, known)
-    val bHC = Tiering.benefitPct(instHC, 0, Tiering.optAssignTiers(instHC), known)
-    val bHCA = Tiering.benefitPct(instHCA, 0, Tiering.optAssignTiers(instHCA), known)
+    val bHC = Tiering.benefitPct(instHC, Tiering.optAssignTiers(instHC), known)
+    val bHCA = Tiering.benefitPct(instHCA, Tiering.optAssignTiers(instHCA), known)
     assert(bHCA >= bHC - 1e-9)
   }
 
@@ -108,12 +115,16 @@ class TieringSpec extends AnyFunSuite {
     val capped = inst.copy(capacityGB = Vector(hotGB / 2, Double.PositiveInfinity))
     assert(OptAssign.feasible(capped, Tiering.optAssignTiers(capped)))
     val noTierFast = inst.copy(parts = inst.parts.map(_.copy(latencySlaSec = 1e-6)))
-    intercept[IllegalStateException](Tiering.optAssignTiers(noTierFast))
+    val e = intercept[IllegalArgumentException](Tiering.optAssignTiers(noTierFast))
+    val fastest = inst.tiers.map(_.ttfbSec).min
+    assert(e.getMessage.contains(s"partition ${acc.datasets.head.id} (SLA 1.0E-6 s, fastest option $fastest s)"),
+      e.getMessage)
+    assert(e.getMessage.endsWith(s" and ${acc.datasets.length - 5} more partitions"), e.getMessage)
   }
 
   test("actualCost bills the assignment under actual, not predicted, accesses") {
     val inst = Tiering.instance(acc, CostModel.hotCool, 0, 2, Map.empty) // predicted: nothing
-    val assignment = TieringBaselines.allHot(inst, 0)
+    val assignment = TieringBaselines.allHot(inst)
     val zero = Tiering.actualCost(inst, assignment, Map.empty)
     val busy = Tiering.actualCost(inst, assignment,
       acc.datasets.map(_.id -> 100.0).toMap)
