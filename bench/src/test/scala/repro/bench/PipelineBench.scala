@@ -1,36 +1,25 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.Scope
 import repro.exp.ExpPipeline
 
 /** Shared harness for the full-pipeline benches (Tables IX–XI): runs the 11
   * policy variants, prints the paper's total cost next to ours, and checks
-  * the orderings the paper's tables demonstrate.
+  * the orderings the paper's tables demonstrate. `paperTotals` holds the
+  * paper's total per policy row, in `Scope.variants` order.
   */
-trait PipelineBench extends AnyFunSuite with BenchBase {
-
-  /** Paper total-cost column per policy row (same order as Scope.variants). */
-  def paperTotals: Vector[Double]
-  def config: ExpPipeline.Config
-  def tableName: String
-
-  private def byLabel(rs: Seq[Scope.PolicyReport]) = rs.map(r => r.label -> r).toMap
+abstract class PipelineBench(tableName: String, config: ExpPipeline.Config, paperTotals: Vector[Double])
+    extends AnyFunSuite with BenchBase {
 
   test(s"$tableName: 11-policy pipeline comparison") {
     banner(tableName,
       s"${config.name} at SF=$sf scaled to ${config.targetGB} GB; costs in cents over 5.5 months")
     val reports = ExpPipeline.run(spark, config, sf)
     assert(reports.length == 11)
-    println(f"${"Variant"}%-36s ${"paperTotal"}%11s ${"oursTotal"}%11s ${"Storage"}%9s " +
-      f"${"Decomp"}%7s ${"Read"}%9s ${"TTFB"}%6s ${"Dec(ms)"}%8s  Scheme[P,H,C]")
-    reports.zip(paperTotals).foreach { case (r, pt) =>
-      println(f"${r.label}%-36s $pt%11.1f ${r.totalCost}%11.1f ${r.storageCost}%9.1f " +
-        f"${r.decompCost}%7.2f ${r.readCost}%9.1f ${r.readLatencySec}%6.3f " +
-        f"${r.decompLatencyMs}%8.3f  ${r.scheme(Seq("Premium", "Hot", "Cool"))}")
-    }
+    printBeside("" +: "paperTotal" +: paperTotals.map(v => f"$v%.1f"),
+      ExpPipeline.format(config.name, reports))
 
-    val m = byLabel(reports)
+    val m = reports.map(r => r.label -> r).toMap
     val default = m("Default (store on premium)")
     val ares    = m("Compress & store on premium")
     val hermes  = m("Multi-Tiering")
@@ -63,24 +52,13 @@ trait PipelineBench extends AnyFunSuite with BenchBase {
 }
 
 /** Table IX: Enterprise Data II (3 tables, ~1.5 GB, Zipf queries). */
-class TableIXBench extends PipelineBench {
-  val tableName = "Table IX"
-  val config    = ExpPipeline.enterpriseII
-  val paperTotals = Vector(168.9, 157.4, 82.0, 98.9, 103.9, 62.9, 133.1, 121.2, 30.3, 81.2, 30.3)
-}
+class TableIXBench extends PipelineBench("Table IX", ExpPipeline.enterpriseII,
+  Vector(168.9, 157.4, 82.0, 98.9, 103.9, 62.9, 133.1, 121.2, 30.3, 81.2, 30.3))
 
 /** Table X: TPC-H 100GB (8 tables, uniform queries). */
-class TableXBench extends PipelineBench {
-  val tableName = "Table X"
-  val config    = ExpPipeline.tpch100
-  val paperTotals = Vector(12570.4, 10646.8, 12570.4, 26093.4, 8819.9, 1812.4, 5573.4,
-    5722.6, 940.6, 4832.1, 952.7)
-}
+class TableXBench extends PipelineBench("Table X", ExpPipeline.tpch100,
+  Vector(12570.4, 10646.8, 12570.4, 26093.4, 8819.9, 1812.4, 5573.4, 5722.6, 940.6, 4832.1, 952.7))
 
 /** Table XI: TPC-H 1TB. */
-class TableXIBench extends PipelineBench {
-  val tableName = "Table XI"
-  val config    = ExpPipeline.tpch1t
-  val paperTotals = Vector(128360, 112010, 128050, 284050, 84530, 34280, 50380,
-    69440, 25420, 63740, 19790)
-}
+class TableXIBench extends PipelineBench("Table XI", ExpPipeline.tpch1t,
+  Vector(128360, 112010, 128050, 284050, 84530, 34280, 50380, 69440, 25420, 63740, 19790))

@@ -19,11 +19,9 @@ class TableIIBench extends AnyFunSuite with BenchBase {
   test("Table II: % cost benefit per customer account") {
     banner("Table II", "OPTASSIGN (K=0) % cost benefit over all-Hot; projected accesses, billed on actual")
     val rows = ExpTiering.tableII()
-    println(f"${"Customer"}%-12s ${"Size(PB)"}%9s | ${"paper 2mo"}%9s ${"ours 2mo"}%9s | ${"paper 6mo"}%9s ${"ours 6mo"}%9s")
-    rows.zip(paper).foreach { case (r, (name, _, p2, p6)) =>
-      assert(r.customer == name)
-      println(f"${r.customer}%-12s ${r.totalPB}%9.3f | $p2%9.2f ${r.benefit2mo}%9.2f | $p6%9.2f ${r.benefit6mo}%9.2f")
-    }
+    rows.zip(paper).foreach { case (r, (name, _, _, _)) => assert(r.customer == name) }
+    printBeside(f"${"paper 2mo"}%9s ${"paper 6mo"}%9s" +: paper.map { case (_, _, p2, p6) => f"$p2%9.2f $p6%9.2f" },
+      ExpTiering.formatII(rows))
     // Shape: positive 2-month single-digit-to-teens benefit, 6-month benefit
     // several times larger (Archive unlocked), both under 100%.
     rows.foreach { r =>

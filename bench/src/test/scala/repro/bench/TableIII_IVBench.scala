@@ -12,18 +12,18 @@ import repro.tiering.{EnterpriseSim, Tiering}
 class TableIII_IVBench extends AnyFunSuite with BenchBase {
 
   private lazy val tables = ExpTiering.tableIII_IV(spark)
+  /** The job's lines: Table III's, then after a blank line Table IV's. */
+  private lazy val (tableIII, tableIV) = {
+    val (iii, iv) = ExpTiering.formatIII_IV(tables).span(_.nonEmpty)
+    (iii, iv.tail)
+  }
 
   test("Table III: predicted vs ideal tier confusion matrix") {
     banner("Table III", "RF tier prediction, out-of-time, 760 datasets (~0.7 PB), 2-month horizon")
     val conf = tables.confusion
-    println("paper:              ours:")
-    println("         Hot  Cool           Hot  Cool")
     val p = Vector(Vector(291, 12), Vector(12, 445))
-    for (r <- 0 to 1) {
-      val label = if (r == 0) "Hot " else "Cool"
-      println(f"$label  ${p(r)(0)}%6d ${p(r)(1)}%5d    $label ${conf(r, 0)}%6d ${conf(r, 1)}%5d")
-    }
-    println(f"paper accuracy=0.968 F1>0.96 | ours accuracy=${conf.accuracy}%.4f macroF1=${conf.macroF1}%.4f")
+    printBeside(("paper:" +: p.map(_.map(v => f"$v%6d").mkString(" "))) :+ "accuracy=0.968 F1>0.96",
+      tableIII)
     assert(conf.total == 760)
     assert(conf.accuracy > 0.93, "paper regime: near-optimal prediction")
     assert(conf.macroF1 > 0.9)
@@ -44,11 +44,10 @@ class TableIII_IVBench extends AnyFunSuite with BenchBase {
       ("OptAssign (Hot, Cool, Archive)", "Known", 6, 43.8),
     )
     val rows = tables.tableIV
-    println(f"${"Model"}%-42s ${"Access"}%-10s ${"Mo"}%3s ${"paper %%"}%8s ${"ours %%"}%8s")
-    rows.zip(paper).foreach { case (r, (m, a, mo, pb)) =>
+    rows.zip(paper).foreach { case (r, (m, a, mo, _)) =>
       assert(r.model == m && r.accessInfo == a && r.months == mo)
-      println(f"${r.model}%-42s ${r.accessInfo}%-10s ${r.months}%3d $pb%8.2f ${r.benefitPct}%8.2f")
     }
+    printBeside("paper %" +: paper.map { case (_, _, _, pb) => f"$pb%7.2f" }, tableIV)
     def b(model: String, info: String, mo: Int) =
       rows.find(r => r.model == model && r.accessInfo == info && r.months == mo).get.benefitPct
     // Shape: caching rules << OptAssign; predicted ~ known; Archive largest.

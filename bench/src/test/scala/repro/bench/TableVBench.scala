@@ -22,13 +22,12 @@ class TableVBench extends AnyFunSuite with BenchBase {
   test("Table V: training data and feature ablation (gzip, Random Forest)") {
     banner("Table V", "Prediction quality by sample source and feature set (gzip on CSV layout, RF)")
     val rows = ExpCompredict.tableV(spark, sf)
-    println(f"${"Target"}%-20s ${"Training"}%-15s ${"Features"}%-17s " +
-      f"| ${"pMAE"}%7s ${"pMAPE"}%8s ${"pR2"}%7s | ${"MAE"}%7s ${"MAPE"}%8s ${"R2"}%7s")
-    rows.zip(paper).foreach { case (r, (t, d, f, pm, pp, pr)) =>
+    rows.zip(paper).foreach { case (r, (t, d, f, _, _, _)) =>
       assert(r.target == t && r.trainingData == d && r.features == f)
-      println(f"${r.target}%-20s ${r.trainingData}%-15s ${r.features}%-17s " +
-        f"| $pm%7.3f $pp%8.3f $pr%7.3f | ${r.m.mae}%7.3f ${r.m.mape}%8.3f ${r.m.r2}%7.3f")
     }
+    printBeside(f"${"pMAE"}%7s ${"pMAPE"}%8s ${"pR2"}%7s" +:
+      paper.map { case (_, _, _, pm, pp, pr) => f"$pm%7.3f $pp%8.3f $pr%7.3f" },
+      ExpCompredict.formatV(rows))
     def m(t: String, d: String, f: String) =
       rows.find(r => r.target == t && r.trainingData == d && r.features == f).get.m
     // Shape: query-based samples beat random samples for predicting the

@@ -30,11 +30,8 @@ class TableVIBench extends AnyFunSuite with BenchBase {
         "SVR* = MLlib linear regression (see DESIGN.md substitutions); paper's MLP omitted " +
         "(no MLlib MLP regressor).")
     val rows = ExpCompredict.tableVI(spark, sf)
-    println(f"${"Model"}%-15s ${"Scheme"}%-16s ${"paperMAPE"}%9s | ${"MAE"}%7s ${"MAPE"}%8s ${"R2"}%7s")
-    rows.foreach { r =>
-      val pm = paperMape.get((r.model, r.scheme)).map(v => f"$v%9.3f").getOrElse("        -")
-      println(f"${r.model}%-15s ${r.scheme}%-16s $pm | ${r.m.mae}%7.3f ${r.m.mape}%8.3f ${r.m.r2}%7.3f")
-    }
+    printBeside("paperMAPE" +: rows.map(r => paperMape.get((r.model, r.scheme)).fold("-")(v => f"$v%9.3f")),
+      ExpCompredict.formatGrid(rows))
     // Shape: for every scheme the learned models beat the Averaging baseline
     // on MAPE, and Random Forest is competitive (within 2x of the best).
     for (scheme <- ExpCompredict.schemeGrid.map(_._1)) {

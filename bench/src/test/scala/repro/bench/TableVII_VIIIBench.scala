@@ -24,17 +24,11 @@ class TableVII_VIIIBench extends AnyFunSuite with BenchBase {
       "SVR*" -> (15.568, 19.508), "Random Forest" -> (4.910, 7.983)),
   )
 
-  private def show(tag: String, what: String, rows: Vector[ExpCompredict.GridRow],
-                   paper: Map[String, (Double, Double)]): Unit = {
-    println(s"-- $tag: $what --")
-    println(f"${"Model"}%-15s ${"Scheme"}%-16s ${"paperMAPE"}%9s | ${"MAE"}%8s ${"MAPE"}%8s ${"R2"}%7s")
-    rows.foreach { r =>
-      val pm = paper.get(r.model).map { case (g, p) =>
-        f"${if (r.scheme == "gzip") g else p}%9.3f"
-      }.getOrElse("        -")
-      println(f"${r.model}%-15s ${r.scheme}%-16s $pm | ${r.m.mae}%8.3f ${r.m.mape}%8.3f ${r.m.r2}%7.3f")
-    }
-  }
+  /** The paper's MAPE column for `rows`, with its header. */
+  private def paperCol(rows: Vector[ExpCompredict.GridRow], paper: Map[String, (Double, Double)]) =
+    "paperMAPE" +: rows.map(r => paper.get(r.model).fold("-") { case (g, p) =>
+      f"${if (r.scheme == "gzip") g else p}%9.3f"
+    })
 
   private def shapeChecks(rows: Vector[ExpCompredict.GridRow], tag: String): Unit = {
     for (scheme <- Seq("gzip", "parquet+gzip")) {
@@ -50,13 +44,13 @@ class TableVII_VIIIBench extends AnyFunSuite with BenchBase {
       val tag = if (skew) "TPC-H Skew" else "TPC-H 100GB"
       banner(if (skew) "Tables VII-VIII (skew)" else "Tables VII-VIII (uniform)",
         s"$tag at SF=$sf (see DESIGN.md scale substitution)")
-      val (ratio, dec) = ExpCompredict.tableVII_VIII(spark, sf, skew)
-      show(tag, "compression ratio (Table VII)", ratio, paperVII(tag))
-      show(tag, "decompression sec/GB (Table VIII)", dec, paperVIII(tag))
-      shapeChecks(ratio, s"$tag ratio")
-      shapeChecks(dec, s"$tag decomp")
+      val t = ExpCompredict.tableVII_VIII(spark, sf, skew)
+      printBeside(("" +: paperCol(t.ratio, paperVII(tag))) ++ ("" +: paperCol(t.decomp, paperVIII(tag))),
+        ExpCompredict.formatVII_VIII(t))
+      shapeChecks(t.ratio, s"$tag ratio")
+      shapeChecks(t.decomp, s"$tag decomp")
       // ratio on queried samples is highly predictable in both regimes
-      val rfRatio = ratio.filter(_.model == "Random Forest")
+      val rfRatio = t.ratio.filter(_.model == "Random Forest")
       assert(rfRatio.forall(_.m.r2 > 0.5), s"$tag: RF ratio R2 ${rfRatio.map(_.m.r2)}")
     }
   }

@@ -20,9 +20,7 @@ object ComPredict {
                            decompSecPerGB: Double)
 
   /** Regression quality metrics used throughout the paper's Tables V–VIII. */
-  final case class RegMetrics(mae: Double, mape: Double, r2: Double) {
-    override def toString: String = f"MAE=$mae%.3f MAPE=$mape%.3f R2=$r2%.3f"
-  }
+  final case class RegMetrics(mae: Double, mape: Double, r2: Double)
 
   def metrics(pred: Seq[Double], actual: Seq[Double]): RegMetrics = {
     require(pred.length == actual.length && pred.nonEmpty, "prediction/label length mismatch")

@@ -26,7 +26,10 @@ final case class Tier(
   * alpha scales storage cost, beta scales per-access read + decompression
   * cost, gamma scales tier-change/write cost.
   */
-final case class CostWeights(alpha: Double = 1.0, beta: Double = 1.0, gamma: Double = 1.0)
+final case class CostWeights(alpha: Double = 1.0, beta: Double = 1.0, gamma: Double = 1.0) {
+  for ((name, w) <- Seq("alpha" -> alpha, "beta" -> beta, "gamma" -> gamma))
+    require(w >= 0 && !w.isInfinite, s"cost weight $name must be a finite non-negative number, got $w")
+}
 
 /** Azure cost parameters used throughout the paper's evaluation.
   *

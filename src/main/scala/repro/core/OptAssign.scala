@@ -76,6 +76,7 @@ final case class OptAssignInstance(
   require(parts.iterator.map(_.id).distinct.size == parts.size, "partition ids must be distinct")
   require(capacityGB.forall(_ >= 0),
     s"capacities must be non-negative numbers (GB or +Infinity), got ${capacityGB.mkString(", ")}")
+  require(months > 0 && !months.isInfinite, s"months must be a finite number above 0, got $months")
 }
 
 /** OPTASSIGN (Section IV): choose a tier and compression scheme per partition

@@ -186,9 +186,11 @@ object Scope {
     *
     * @param freqScale multiplies the base family frequency — calibrates how
     *                  much read traffic the billing period sees
+    * @throws IllegalArgumentException if `familiesPerTable` is below 1
     */
   def initialPartitions(lake: DataLake, familiesPerTable: Int, zipfAlpha: Double,
                         freqScale: Double, seed: Long): Vector[Part] = {
+    require(familiesPerTable >= 1, s"familiesPerTable must be at least 1, got $familiesPerTable")
     var nextId = 0
     lake.tables.flatMap { t =>
       val local = QueryWorkload.rangeFamilies(
@@ -311,9 +313,13 @@ object Scope {
   /** Builds OPTASSIGN partition stats: sizes from the catalog scaled by
     * `bytesScale` (SF=0.1 measured bytes -> nominal 100 GB / 1 TB volumes),
     * compression perf ground-truth-measured (or identity-only).
+    *
+    * @throws IllegalArgumentException if `bytesScale` is not a finite number above 0
     */
   def prepare(lake: DataLake, parts: Vector[Part], bytesScale: Double,
               compression: Boolean, sampleCap: Int): PreparedParts = {
+    require(bytesScale > 0 && !bytesScale.isInfinite,
+      s"bytesScale must be a finite number above 0, got $bytesScale")
     // One Spark job collects every sample; each is serialized once and its
     // codecs timed one partition at a time on the driver, away from concurrent
     // Spark work. decompSecPerGB is measured per raw GB; absolute decompression

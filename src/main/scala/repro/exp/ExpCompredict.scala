@@ -105,7 +105,20 @@ object ExpCompredict {
       yield TableVRow(target, data, features, ComPredict.fitEval(train, test, label, rf)._2)
   }
 
+  private val metricsHeader = f"${"MAE"}%8s ${"MAPE"}%9s ${"R2"}%7s"
+  private def metricsCols(m: RegMetrics) = f"${m.mae}%8.3f ${m.mape}%9.3f ${m.r2}%7.3f"
+
+  /** Table V: the header, then one line per row. */
+  def formatV(rows: Seq[TableVRow]): Vector[String] =
+    f"${"Target"}%-20s ${"Training Data"}%-16s ${"Features"}%-18s $metricsHeader" +:
+      rows.map(r => f"${r.target}%-20s ${r.trainingData}%-16s ${r.features}%-18s ${metricsCols(r.m)}").toVector
+
   final case class GridRow(model: String, scheme: String, m: RegMetrics)
+
+  /** Tables VI–VIII: the header, then one line per (model, scheme). */
+  def formatGrid(rows: Seq[GridRow]): Vector[String] =
+    f"${"Model"}%-16s ${"Scheme"}%-16s $metricsHeader" +:
+      rows.map(r => f"${r.model}%-16s ${r.scheme}%-16s ${metricsCols(r.m)}").toVector
 
   /** Tables VI–VIII core: evaluate `models` x `schemes` over pre-built
     * samples, one grid per target. Each layout's samples are serialized and
@@ -135,14 +148,22 @@ object ExpCompredict {
     modelGrid(samples, schemeGrid, Seq(_.ratio)).head
   }
 
-  /** Tables VII (ratio) and VIII (decompression sec/GB): gzip and
-    * parquet+gzip, on the uniform ("TPC-H 100GB" stand-in) and the
-    * Zipf-skew datasets. Both tables come from one set of measured examples.
+  /** Tables VII (compression ratio) and VIII (decompression sec/GB) on one dataset. */
+  final case class TableVII_VIII(dataset: String, ratio: Vector[GridRow], decomp: Vector[GridRow])
+
+  /** Tables VII and VIII: gzip and parquet+gzip, on the uniform ("TPC-H
+    * 100GB" stand-in) or the Zipf-skew dataset. Both tables come from one
+    * set of measured examples.
     */
-  def tableVII_VIII(spark: SparkSession, sf: Double, skew: Boolean): (Vector[GridRow], Vector[GridRow]) = {
+  def tableVII_VIII(spark: SparkSession, sf: Double, skew: Boolean): TableVII_VIII = {
     val samples = querySamples(spark, sf, skew, QueriesPerTable, MaxRows, TableVII_VIIISeed)
     val schemes = schemeGrid.filter(s => s._1 == "gzip" || s._1 == "parquet+gzip")
     val grids = modelGrid(samples, schemes, Seq(_.ratio, _.decompSecPerGB))
-    (grids(0), grids(1))
+    TableVII_VIII(if (skew) "TPC-H Skew" else "TPC-H 100GB (uniform)", grids(0), grids(1))
   }
+
+  /** Tables VII and VIII on one dataset: each a title, then its grid. */
+  def formatVII_VIII(t: TableVII_VIII): Vector[String] =
+    (s"-- ${t.dataset}: compression ratio (Table VII) --" +: formatGrid(t.ratio)) ++
+      (s"-- ${t.dataset}: decompression sec/GB (Table VIII) --" +: formatGrid(t.decomp))
 }

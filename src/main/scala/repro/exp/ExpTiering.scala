@@ -67,6 +67,11 @@ object ExpTiering {
         benefit(6, CostModel.hotCoolArchive))
     }
 
+  /** Table II: the header, then one line per account. */
+  def formatII(rows: Seq[TableIIRow]): Vector[String] =
+    f"${"Customer"}%-12s ${"Size(PB)"}%9s ${"2 mos %"}%9s ${"6 mos %"}%9s" +:
+      rows.map(r => f"${r.customer}%-12s ${r.totalPB}%9.3f ${r.benefit2mo}%9.2f ${r.benefit6mo}%9.2f").toVector
+
   final case class TableIVRow(model: String, accessInfo: String, months: Int, benefitPct: Double)
 
   /** Table III (the confusion matrix and the tier each dataset was
@@ -123,5 +128,20 @@ object ExpTiering {
 
     val (tiersIII, confusion) = predicted(2)
     TableIII_IV(confusion, tiersIII, rows.result())
+  }
+
+  /** Tables III and IV: the confusion matrix (a title, one line per
+    * predicted tier, the scores), a blank line, then Table IV's header and
+    * one line per row.
+    */
+  def formatIII_IV(t: TableIII_IV): Vector[String] = {
+    val conf = t.confusion
+    val tableIII =
+      s"Confusion matrix (rows = predicted, cols = ideal) labels=${conf.labels.mkString(",")}" +:
+        conf.labels.indices.map(p => conf.labels.indices.map(i => f"${conf(p, i)}%6d").mkString(" ")) :+
+        f"accuracy=${conf.accuracy}%.4f macroF1=${conf.macroF1}%.4f"
+    val tableIV = f"${"Model"}%-42s ${"Access"}%-10s ${"Months"}%6s ${"Benefit"}%9s" +:
+      t.tableIV.map(r => f"${r.model}%-42s ${r.accessInfo}%-10s ${r.months}%6d ${r.benefitPct}%8.2f%%")
+    (tableIII ++ ("" +: tableIV)).toVector
   }
 }

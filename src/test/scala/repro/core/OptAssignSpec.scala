@@ -302,6 +302,23 @@ class OptAssignSpec extends AnyFunSuite {
     assert(e.getMessage.contains("at least one tier"))
   }
 
+  test("OptAssignInstance rejects a months that is not a finite number above 0") {
+    for (bad <- Seq(-1.0, 0.0, Double.NaN, Double.PositiveInfinity)) {
+      val e = intercept[IllegalArgumentException](simpleInst(Vector(onePart)).copy(months = bad))
+      assert(e.getMessage.contains(s"months must be a finite number above 0, got $bad"))
+    }
+  }
+
+  test("CostWeights rejects NaN, infinite or negative weights, naming the weight") {
+    def rejection(w: => CostWeights): String = intercept[IllegalArgumentException](w).getMessage
+    for (bad <- Seq(-0.5, Double.NaN, Double.PositiveInfinity)) {
+      val why = s"must be a finite non-negative number, got $bad"
+      assert(rejection(CostWeights(alpha = bad)).contains(s"cost weight alpha $why"))
+      assert(rejection(CostWeights(beta = bad)).contains(s"cost weight beta $why"))
+      assert(rejection(CostWeights(gamma = bad)).contains(s"cost weight gamma $why"))
+    }
+  }
+
   test("OptAssignInstance rejects repeated partition ids") {
     val parts = Vector.tabulate(13)(i => onePart.copy(id = if (i == 12) 3 else i))
     val e = intercept[IllegalArgumentException](simpleInst(parts))

@@ -4,7 +4,7 @@ import org.apache.spark.sql.functions._
 import org.scalatest.funsuite.AnyFunSuite
 import repro.{Oracle, SparkSpec, SynthData, SynthDataExt}
 import repro.compress.{Codecs, CompressionMeasure, Layouts}
-import repro.partition.GPartConfig
+import repro.partition.{FileCatalog, GPartConfig}
 
 class ScopeSpec extends AnyFunSuite with SparkSpec {
 
@@ -152,6 +152,25 @@ class ScopeSpec extends AnyFunSuite with SparkSpec {
     val p2 = Scope.prepare(lake, parts, bytesScale = 10.0, compression = false, sampleCap = 100)
     p1.stats.zip(p2.stats).foreach { case (a, b) =>
       assert(math.abs(b.sizeGB - 10 * a.sizeGB) < 1e-12)
+    }
+  }
+
+  /** A lake with one file and no tables: enough for the boundary checks, with no Spark job. */
+  private val bareLake = Scope.DataLake(Vector.empty, FileCatalog(Vector(10L), Vector(100L)))
+
+  test("initialPartitions rejects fewer than one family per table") {
+    for (bad <- Seq(0, -1)) {
+      val e = intercept[IllegalArgumentException](Scope.initialPartitions(bareLake, bad, 0.0, 1.0, seed = 1))
+      assert(e.getMessage.contains(s"familiesPerTable must be at least 1, got $bad"))
+    }
+  }
+
+  test("prepare rejects a bytesScale that is not a finite number above 0") {
+    val part = repro.partition.Part.initial(0, Seq(0), 1.0)
+    for (bad <- Seq(0.0, -1.0, Double.NaN, Double.PositiveInfinity)) {
+      val e = intercept[IllegalArgumentException](
+        Scope.prepare(bareLake, Vector(part), bad, compression = false, sampleCap = 100))
+      assert(e.getMessage.contains(s"bytesScale must be a finite number above 0, got $bad"))
     }
   }
 

@@ -60,4 +60,22 @@ class ExpTieringSpec extends AnyFunSuite with SparkSpec {
     assert(conf.macroF1 > 0.85, s"macroF1 ${conf.macroF1} (paper: F1 > 0.96)")
     assert(tables.predictedTiers.size == EnterpriseSim.tableIIIAccount().datasets.length)
   }
+
+  test("Tables III and IV formatter: the matrix and its scores, a blank line, then Table IV") {
+    val lines = ExpTiering.formatIII_IV(tables)
+    val conf  = tables.confusion
+    val n     = conf.labels.length
+    assert(lines.length == n + 4 + tables.tableIV.length, lines.mkString("\n"))
+    assert(lines.head.endsWith(s"labels=${conf.labels.mkString(",")}"), lines.head)
+    for (p <- conf.labels.indices)
+      assert(lines(1 + p).trim.split("\\s+").toSeq == conf.labels.indices.map(i => conf(p, i).toString))
+    assert(lines(1 + n) == f"accuracy=${conf.accuracy}%.4f macroF1=${conf.macroF1}%.4f")
+    assert(lines(2 + n).isEmpty)
+    assert(lines(3 + n).split("\\s+").toSeq == Seq("Model", "Access", "Months", "Benefit"))
+    for ((line, r) <- lines.drop(4 + n).zip(tables.tableIV)) {
+      assert(line.startsWith(r.model), line)
+      assert(line.drop(r.model.length).trim.split("\\s+").toSeq ==
+        Seq(r.accessInfo, r.months.toString, f"${r.benefitPct}%.2f%%"), line)
+    }
+  }
 }

@@ -12,6 +12,7 @@ class JobsSpec extends AnyFunSuite {
     Console.withOut(buf)(TableII.main(Array.empty))
     val lines = buf.toString("UTF-8").linesIterator.toVector
     val rows  = ExpTiering.tableII()
+    assert(lines == ExpTiering.formatII(rows))
     assert(lines.length == 1 + rows.length, lines.mkString("\n"))
     assert(lines.head.split("\\s+").toSeq ==
       Seq("Customer", "Size(PB)", "2", "mos", "%", "6", "mos", "%"), lines.head)
