@@ -10,9 +10,9 @@ import scala.collection.mutable
   *                       decompSecPerGB * rawSizeGB
   */
 final case class CodecPerf(ratio: Double, decompSecPerGB: Double) {
-  require(ratio > 0, s"compression ratio must be positive, got $ratio")
-  require(decompSecPerGB >= 0,
-    s"decompression seconds per GB must be a non-negative number, got $decompSecPerGB")
+  require(ratio > 0 && !ratio.isInfinite, s"compression ratio must be a finite positive number, got $ratio")
+  require(decompSecPerGB >= 0 && !decompSecPerGB.isInfinite,
+    s"decompression seconds per GB must be a finite, non-negative number, got $decompSecPerGB")
 }
 
 object CodecPerf {
@@ -41,8 +41,10 @@ final case class PartitionStat(
     currentCodec: Int,
     codecPerfs: IndexedSeq[CodecPerf],
 ) {
-  require(sizeGB >= 0, s"partition $id: sizeGB must be a non-negative number, got $sizeGB")
-  require(accesses >= 0, s"partition $id: accesses must be a non-negative number, got $accesses")
+  require(sizeGB >= 0 && !sizeGB.isInfinite,
+    s"partition $id: sizeGB must be a finite, non-negative number, got $sizeGB")
+  require(accesses >= 0 && !accesses.isInfinite,
+    s"partition $id: accesses must be a finite, non-negative number, got $accesses")
   require(latencySlaSec >= 0,
     s"partition $id: latencySlaSec must be a non-negative number, got $latencySlaSec")
   require(codecPerfs.nonEmpty, s"partition $id: codecPerfs must hold at least the identity codec")
@@ -289,9 +291,10 @@ object OptAssign {
     * `score` per GB freed (capacity repair frees stored GB; the score only
     * drives preference order). It IS the greedy wherever capacity is slack.
     *
-    * Cost: O(N·L·K·log(L·K)) once to sort every partition's options, then
-    * O(N + N_l·L·K) per eviction, where N_l is the number of partitions in
-    * the overfull tier.
+    * Cost: O(N·L·K·log(L·K)) once to sort every partition's options into
+    * flat arrays of tier, codec, score and stored GB, then O(N + N_l·L·K)
+    * per eviction, where N_l is the number of partitions in the overfull
+    * tier. An eviction reads every score and stored GB from those arrays.
     */
   private[core] def greedyRepair(inst: OptAssignInstance, score: Score): Option[Vector[Assignment]] = {
     val options = inst.parts.map(p => feasibleOptions(inst, p, score))
@@ -300,44 +303,64 @@ object OptAssign {
     // their (distinct) ids. Eviction ties go to the first candidate in that
     // order, and per-tier usage is summed in it, so the order is part of the
     // answer; ids need not be contiguous.
-    val slots  = mutable.Map.from(inst.parts.indices.map(i => inst.parts(i).id -> i)).valuesIterator.toArray
-    val parts  = slots.map(inst.parts)
-    val opts   = slots.map(options)
-    val tier   = opts.map(_.head._1)
-    val codec  = opts.map(_.head._2)
-    val caps   = inst.capacityGB
-    val used   = new Array[Double](inst.tiers.size)
-    val byCost = Ordering.Double.TotalOrdering
+    val slots = mutable.Map.from(inst.parts.indices.map(i => inst.parts(i).id -> i)).valuesIterator.toArray
+    val n     = slots.length
+    // Slot i's options, cheapest first, are entries first(i) until first(i + 1)
+    // of the flat arrays; held(i) is the entry it holds, at first its cheapest.
+    val first = new Array[Int](n + 1)
+    for (i <- 0 until n) first(i + 1) = first(i) + options(slots(i)).length
+    val optTier   = new Array[Int](first(n))
+    val optCodec  = new Array[Int](first(n))
+    val optScore  = new Array[Double](first(n))
+    val optStored = new Array[Double](first(n))
+    for (i <- 0 until n; ((l, k, c), j) <- options(slots(i)).zipWithIndex) {
+      val o = first(i) + j
+      optTier(o) = l; optCodec(o) = k; optScore(o) = c
+      optStored(o) = storedGB(inst.parts(slots(i)), k)
+    }
+    val held  = java.util.Arrays.copyOf(first, n)
+    val caps  = inst.capacityGB.toArray
+    val used  = new Array[Double](caps.length)
 
     var guard = 0
     val maxIters = inst.parts.size * inst.tiers.size * 4 + 16
     while (guard < maxIters) {
       guard += 1
       java.util.Arrays.fill(used, 0.0)
-      for (i <- slots.indices) used(tier(i)) += storedGB(parts(i), codec(i))
-      inst.tiers.indices.find(l => used(l) > caps(l) + 1e-9) match {
-        case None =>
-          return Some(slots.indices.map(i => Assignment(parts(i).id, tier(i), codec(i))).toVector.sortBy(_.id))
-        case Some(l) =>
-          // The cheapest move (extra score per GB freed) out of the overfull
-          // tier l into a tier with spare capacity; the first one wins ties.
-          var best = -1; var bestTier = -1; var bestCodec = -1; var bestRatio = 0.0
-          for (i <- slots.indices if tier(i) == l) {
-            val p     = parts(i)
-            val cur   = score(inst, p, l, codec(i))
-            val freed = math.max(storedGB(p, codec(i)), 1e-12)
-            for ((l2, k2, c2) <- opts(i))
-              if (l2 != l && used(l2) + storedGB(p, k2) <= caps(l2) + 1e-9) {
-                val ratio = (c2 - cur) / freed
-                if (best < 0 || byCost.lt(ratio, bestRatio)) {
-                  best = i; bestTier = l2; bestCodec = k2; bestRatio = ratio
-                }
+      var i = 0
+      while (i < n) { used(optTier(held(i))) += optStored(held(i)); i += 1 }
+      var l = 0
+      while (l < caps.length && !(used(l) > caps(l) + 1e-9)) l += 1
+      if (l == caps.length)
+        return Some((0 until n).map { i =>
+          Assignment(inst.parts(slots(i)).id, optTier(held(i)), optCodec(held(i)))
+        }.toVector.sortBy(_.id))
+      // The cheapest move (extra score per GB freed) out of the overfull
+      // tier l into a tier with spare capacity; the first one wins ties.
+      // Double.compare is a total order with NaN above +Infinity.
+      var best = -1; var bestOpt = -1; var bestRatio = 0.0
+      i = 0
+      while (i < n) {
+        val h = held(i)
+        if (optTier(h) == l) {
+          val cur   = optScore(h)
+          val freed = math.max(optStored(h), 1e-12)
+          var o = first(i)
+          while (o < first(i + 1)) {
+            val l2 = optTier(o)
+            if (l2 != l && used(l2) + optStored(o) <= caps(l2) + 1e-9) {
+              val ratio = (optScore(o) - cur) / freed
+              if (best < 0 || java.lang.Double.compare(ratio, bestRatio) < 0) {
+                best = i; bestOpt = o; bestRatio = ratio
               }
+            }
+            o += 1
           }
-          if (best < 0) return None // cannot repair: instance infeasible for this heuristic
-          tier(best) = bestTier
-          codec(best) = bestCodec
+        }
+        i += 1
       }
+      if (best < 0) return None // cannot repair: instance infeasible for this heuristic
+      held(best) = bestOpt
     }
     None
   }

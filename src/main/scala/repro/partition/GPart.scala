@@ -1,5 +1,6 @@
 package repro.partition
 
+import scala.collection.immutable.SortedSet
 import scala.collection.mutable
 
 /** G-PART (Algorithm 1): greedy partition merging on the overlap graph.
@@ -28,7 +29,17 @@ final case class GPartConfig(
 
 object GPart {
 
+  /** A heap entry: the fractional overlap `w` of the partitions in slots `a`
+    * and `b`.
+    */
   private final case class Edge(w: Double, a: Int, b: Int)
+
+  /** Max-heap order on `w`. It makes the comparisons `Ordering.by(_.w)` made,
+    * since every enqueued `w` is finite and > 0, without boxing `w`.
+    */
+  private val byWeight: Ordering[Edge] = new Ordering[Edge] {
+    def compare(x: Edge, y: Edge): Int = java.lang.Double.compare(x.w, y.w)
+  }
 
   /** Fractional overlap w = Ov / Sp(a ∪ b) from the overlap and the two
     * spans, all in rows: Sp(a ∪ b) = Sp(a) + Sp(b) - Ov. 0 for an empty union.
@@ -42,78 +53,166 @@ object GPart {
   def fractionalOverlap(a: Part, b: Part, cat: FileCatalog): Double =
     weight(a.overlapRows(b, cat), a.spanRows(cat), b.spanRows(cat))
 
-  /** Sums, per partition id in `holders(f)` for the files f of `files`, the
-    * rows of the files it shares with them; `keep` filters the ids.
-    */
-  private def overlaps(files: Iterable[Int], holders: Int => Iterable[Int], cat: FileCatalog)
-                      (keep: Int => Boolean): mutable.LongMap[Long] = {
-    val ov = mutable.LongMap.empty[Long]
-    for (f <- files; k <- holders(f) if keep(k)) ov(k) = ov.getOrElse(k, 0L) + cat.rows(f)
-    ov
+  /** The union of two ascending arrays of distinct file ids, ascending. */
+  private def union(x: Array[Int], y: Array[Int]): Array[Int] = {
+    val out = new Array[Int](x.length + y.length)
+    var i = 0; var j = 0; var n = 0
+    while (i < x.length || j < y.length) {
+      if (j == y.length || (i < x.length && x(i) < y(j))) { out(n) = x(i); i += 1 }
+      else { if (i < x.length && x(i) == y(j)) i += 1; out(n) = y(j); j += 1 }
+      n += 1
+    }
+    if (n == out.length) out else java.util.Arrays.copyOf(out, n)
   }
 
   /** Runs G-PART and returns the final set of partitions (merges plus any
     * unmergeable singletons). Every initial partition is covered by exactly
-    * one returned partition.
+    * one returned partition. Throws an `IllegalArgumentException` naming the
+    * part if two parts share an id or a part holds a file outside `cat`.
     *
-    * A file → live-partition index restricts scoring to pairs that share a
-    * file, the only pairs with w > 0. With h_f the number of partitions that
+    * Every partition has a dense slot: initial partition i is slot i, and
+    * merge j is slot n + j. Slots hold the sorted files, span, rho and
+    * children of a partition; the `Part`s are built once, at the end.
+    * A file → live-slot index restricts scoring to pairs that share a file,
+    * the only pairs with w > 0. With h_f the number of partitions that
     * hold file f, the first scan costs O(Σ_f h_f²); each merge costs
-    * O(Σ_{f in merge} h_f) to score its neighbours, O(P) to walk the live
-    * partitions in their map order, and O(log E) per heap operation.
-    * Which of two equal-weight edges leaves the heap first depends on the
-    * enqueue sequence, so the sequence is fixed: initial pairs by (i, j),
-    * re-inserted edges in live-map order.
+    * O(Σ_{f in merge} h_f) to union the files, update the index and score
+    * the merge's neighbours, O(P) to walk the live partitions in their map
+    * order, and O(log E) per heap operation. Which of two equal-weight edges
+    * leaves the heap first depends on the enqueue sequence, so the sequence
+    * is fixed: initial pairs by (i, j), re-inserted edges in the iteration
+    * order of the live id → slot map, which the walk keeps.
     */
   def merge(initial: Seq[Part], cat: FileCatalog, cfg: GPartConfig): Vector[Part] = {
-    val live   = mutable.Map.from(initial.map(p => p.id -> p))
-    var nextId = initial.iterator.map(_.id).foldLeft(0)(math.max) + 1
-    val heap   = mutable.PriorityQueue.empty[Edge](Ordering.by(_.w))
-
-    def enqueueIfMergeable(a: Part, spanA: Long, b: Part, spanB: Long, ov: Long): Unit = {
-      val w = weight(ov, spanA, spanB)
-      if (spanA < cfg.sThreshRows && spanB < cfg.sThreshRows &&
-          Part.accessCompatible(a, b, cfg.rhoC, cfg.rhoCAbs) && w > 0)
-        heap.enqueue(Edge(w, a.id, b.id))
-    }
-
     val parts = initial.toIndexedSeq
-    val spans = parts.map(_.spanRows(cat))
-    val holdersAt = Array.fill(cat.nFiles)(mutable.ArrayBuffer.empty[Int])
-    for (i <- parts.indices; f <- parts(i).files) holdersAt(f) += i
-    for (i <- parts.indices) {
-      val ov = overlaps(parts(i).files, holdersAt(_), cat)(_ > i)
-      for (j <- ov.keys.toArray.sorted.map(_.toInt))
-        enqueueIfMergeable(parts(i), spans(i), parts(j), spans(j), ov(j))
+    val n     = parts.length
+    val rows  = cat.rows.toArray
+    // A run makes at most n - 1 merges, so 2n - 1 slots.
+    val slots = math.max(2 * n - 1, 0)
+    val files = new Array[Array[Int]](slots)
+    val span  = new Array[Long](slots)
+    val rho   = new Array[Double](slots)
+    val alive = new Array[Boolean](slots)
+    val left  = new Array[Int](slots)
+    val right = new Array[Int](slots)
+    def setFiles(s: Int, fs: Array[Int]): Unit = {
+      files(s) = fs
+      var sum = 0L; var i = 0
+      while (i < fs.length) { sum += rows(fs(i)); i += 1 }
+      span(s) = sum
+    }
+    val seen = mutable.HashSet.empty[Int]
+    for (i <- 0 until n) {
+      val p = parts(i)
+      require(seen.add(p.id), s"part ${p.id}: G-PART's input holds more than one part with this id")
+      val fs = p.files.toArray
+      java.util.Arrays.sort(fs) // a SortedSet may carry another Ordering
+      val outside = fs.filter(f => f < 0 || f >= cat.nFiles)
+      require(outside.isEmpty, s"part ${p.id}: file ${outside.head} is not in the ${cat.nFiles}-file catalog")
+      setFiles(i, fs)
+      rho(i) = p.rho
+      alive(i) = true
     }
 
-    val span    = mutable.LongMap.from(live.valuesIterator.map(p => p.id.toLong -> p.spanRows(cat)))
-    val holders = Array.fill(cat.nFiles)(mutable.Set.empty[Int])
-    for (p <- live.valuesIterator; f <- p.files) holders(f) += p.id
+    // holders(f)(0 until nHolders(f)): the live slots that hold file f, in no
+    // particular order. A merge replaces one or two holders of each of its
+    // files by one, so no file ever has more holders than at the start.
+    val nHolders = new Array[Int](cat.nFiles)
+    for (i <- 0 until n; f <- files(i)) nHolders(f) += 1
+    val holders = nHolders.map(new Array[Int](_))
+    java.util.Arrays.fill(nHolders, 0)
+    def addHolder(f: Int, s: Int): Unit = { holders(f)(nHolders(f)) = s; nHolders(f) += 1 }
+    def removeHolder(f: Int, s: Int): Unit = {
+      val hs = holders(f)
+      var i = 0
+      while (hs(i) != s) i += 1
+      nHolders(f) -= 1
+      hs(i) = hs(nHolders(f))
+    }
+    for (i <- 0 until n; f <- files(i)) addHolder(f, i)
+
+    // overlaps(s, keep): ov(k) = the rows slot s shares with each slot k that
+    // holds one of its files and passes `keep`; the slots are stamped with
+    // the call's number and listed in touched(0 until nTouched).
+    val ov       = new Array[Long](slots)
+    val stamp    = new Array[Int](slots)
+    val touched  = new Array[Int](slots)
+    var nTouched = 0
+    var call     = 0
+    def overlaps(s: Int)(keep: Int => Boolean): Unit = {
+      call += 1
+      nTouched = 0
+      val fs = files(s)
+      var j = 0
+      while (j < fs.length) {
+        val f  = fs(j)
+        val hs = holders(f)
+        var i  = 0
+        while (i < nHolders(f)) {
+          val k = hs(i)
+          if (keep(k)) {
+            if (stamp(k) != call) { stamp(k) = call; ov(k) = 0L; touched(nTouched) = k; nTouched += 1 }
+            ov(k) += rows(f)
+          }
+          i += 1
+        }
+        j += 1
+      }
+    }
+
+    val heap = mutable.PriorityQueue.empty[Edge](byWeight)
+    def enqueueIfMergeable(a: Int, b: Int, ov: Long): Unit = {
+      val w = weight(ov, span(a), span(b))
+      if (span(a) < cfg.sThreshRows && span(b) < cfg.sThreshRows &&
+          Part.accessCompatible(rho(a), rho(b), cfg.rhoC, cfg.rhoCAbs) && w > 0)
+        heap.enqueue(Edge(w, a, b))
+    }
+
+    for (i <- 0 until n) {
+      overlaps(i)(_ > i)
+      java.util.Arrays.sort(touched, 0, nTouched)
+      for (t <- 0 until nTouched) enqueueIfMergeable(i, touched(t), ov(touched(t)))
+    }
+
+    val live   = mutable.Map.from(initial.zipWithIndex.map { case (p, i) => p.id -> i })
+    val ids    = new Array[Int](slots)
+    for (i <- 0 until n) ids(i) = parts(i).id
+    var nextId = initial.iterator.map(_.id).foldLeft(0)(math.max) + 1
+    var next   = n
 
     while (heap.nonEmpty) {
-      val Edge(_, a, b) = heap.dequeue()
+      val e = heap.dequeue()
+      val a = e.a
+      val b = e.b
       // Lazily skip edges whose endpoints were already merged away.
-      if (live.contains(a) && live.contains(b)) {
-        val (pa, pb) = (live(a), live(b))
-        val m = pa.merge(pb, nextId)
+      if (alive(a) && alive(b)) {
+        val m = next
+        next += 1
+        setFiles(m, union(files(a), files(b)))
+        rho(m) = rho(a) + rho(b)
+        left(m) = a; right(m) = b
+        alive(a) = false; alive(b) = false; alive(m) = true
+        ids(m) = nextId
         nextId += 1
-        live.remove(a); live.remove(b)
-        live(m.id) = m
-        for (f <- pa.files) holders(f) -= a
-        for (f <- pb.files) holders(f) -= b
-        for (f <- m.files) holders(f) += m.id
-        span -= a; span -= b
-        val mSpan = m.spanRows(cat)
-        span(m.id) = mSpan
-        if (mSpan < cfg.sThreshRows) {
-          val ov = overlaps(m.files, holders(_), cat)(_ != m.id)
-          if (ov.nonEmpty)
-            for ((kid, k) <- live if ov.contains(kid))
-              enqueueIfMergeable(m, mSpan, k, span(kid), ov(kid))
+        live.remove(ids(a)); live.remove(ids(b))
+        live(ids(m)) = m
+        files(a).foreach(removeHolder(_, a))
+        files(b).foreach(removeHolder(_, b))
+        files(m).foreach(addHolder(_, m))
+        if (span(m) < cfg.sThreshRows) {
+          overlaps(m)(_ != m)
+          if (nTouched > 0)
+            live.foreachEntry((_, k) => if (stamp(k) == call) enqueueIfMergeable(m, k, ov(k)))
         }
       }
     }
-    live.values.toVector.sortBy(_.id)
+
+    // Members are unions over the child slots, as Part.merge would form them.
+    val members = new Array[Set[Int]](next)
+    for (i <- 0 until n) members(i) = parts(i).members
+    for (m <- n until next) members(m) = members(left(m)) union members(right(m))
+    def part(s: Int): Part =
+      if (s < n) parts(s) else Part(ids(s), SortedSet.from(files(s)), rho(s), members(s))
+    live.valuesIterator.toVector.sortBy(ids(_)).map(part)
   }
 }

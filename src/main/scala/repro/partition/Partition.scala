@@ -73,9 +73,13 @@ object Part {
   /** Paper's merge feasibility: rho's within ratio rhoC of each other, OR
     * absolute difference within rhoCAbs.
     */
-  def accessCompatible(a: Part, b: Part, rhoC: Double, rhoCAbs: Double): Boolean = {
-    val lo = math.min(a.rho, b.rho)
-    val hi = math.max(a.rho, b.rho)
-    (lo > 0 && hi / lo <= rhoC) || math.abs(a.rho - b.rho) <= rhoCAbs
+  def accessCompatible(a: Part, b: Part, rhoC: Double, rhoCAbs: Double): Boolean =
+    accessCompatible(a.rho, b.rho, rhoC, rhoCAbs)
+
+  /** [[accessCompatible]] on the two access frequencies themselves. */
+  def accessCompatible(rhoA: Double, rhoB: Double, rhoC: Double, rhoCAbs: Double): Boolean = {
+    val lo = math.min(rhoA, rhoB)
+    val hi = math.max(rhoA, rhoB)
+    (lo > 0 && hi / lo <= rhoC) || math.abs(rhoA - rhoB) <= rhoCAbs
   }
 }

@@ -215,14 +215,14 @@ class OptAssignSpec extends AnyFunSuite {
   }
 
   test("PartitionStat rejects NaN or negative sizeGB") {
-    for (bad <- Seq(Double.NaN, -1.0)) {
+    for (bad <- Seq(Double.NaN, -1.0, Double.PositiveInfinity)) {
       val e = intercept[IllegalArgumentException](onePart.copy(sizeGB = bad))
       assert(e.getMessage.contains("sizeGB"))
     }
   }
 
   test("PartitionStat rejects NaN or negative accesses") {
-    for (bad <- Seq(Double.NaN, -0.5)) {
+    for (bad <- Seq(Double.NaN, -0.5, Double.PositiveInfinity)) {
       val e = intercept[IllegalArgumentException](onePart.copy(accesses = bad))
       assert(e.getMessage.contains("accesses"))
     }
@@ -236,14 +236,14 @@ class OptAssignSpec extends AnyFunSuite {
   }
 
   test("CodecPerf rejects NaN, zero or negative ratio") {
-    for (bad <- Seq(Double.NaN, 0.0, -2.0)) {
+    for (bad <- Seq(Double.NaN, 0.0, -2.0, Double.PositiveInfinity)) {
       val e = intercept[IllegalArgumentException](CodecPerf(bad, 1.0))
       assert(e.getMessage.contains("ratio") && e.getMessage.contains(bad.toString))
     }
   }
 
   test("CodecPerf rejects NaN or negative decompSecPerGB") {
-    for (bad <- Seq(Double.NaN, -0.1)) {
+    for (bad <- Seq(Double.NaN, -0.1, Double.PositiveInfinity)) {
       val e = intercept[IllegalArgumentException](CodecPerf(2.0, bad))
       assert(e.getMessage.contains("decompression") && e.getMessage.contains(bad.toString))
     }

@@ -65,6 +65,27 @@ class GPartDifferentialSpec extends AnyFunSuite {
     assert(GPart.merge(parts, empty, GPartConfig()).size == 4)
   }
 
+  test("families passed as a List, an empty input and a single partition merge identically") {
+    // A List's knownSize is -1, so G-PART's live map starts at its default
+    // capacity and grows while it is filled; the re-insertion tie-break
+    // follows that map's iteration order.
+    for (seed <- 1 to 3; nFamilies <- Seq(50, 200)) {
+      val equal = FileCatalog(Vector.fill(nFamilies)(1000L), Vector.fill(nFamilies)(100000L))
+      val ties  = QueryWorkload.rangeFamilies(nFamilies, nFamilies, nFamilies / 8, 0.0, seed).toList
+      for (cfg <- configs(equal, 50.0))
+        assertSame(ties, equal, cfg, s"List, equal weights, seed=$seed families=$nFamilies $cfg")
+      val cat   = QueryWorkload.syntheticCatalog(2 * nFamilies, 10000, 100, seed)
+      val parts = QueryWorkload.rangeFamilies(cat.nFiles, nFamilies, 40, 1.0, seed + 1).toList
+      for (cfg <- configs(cat, 50.0))
+        assertSame(parts, cat, cfg, s"List, Zipf, seed=$seed families=$nFamilies $cfg")
+    }
+    val cat = QueryWorkload.syntheticCatalog(20, 100, 10, 1)
+    for (cfg <- configs(cat, 50.0)) {
+      assertSame(Nil, cat, cfg, s"empty $cfg")
+      assertSame(Seq(Part.initial(7, Seq(2, 3, 4), 5.0)), cat, cfg, s"single $cfg")
+    }
+  }
+
   test("non-contiguous ids >= 65536 merge identically") {
     for (seed <- 1 to 3) {
       val rng   = new Random(seed)

@@ -126,6 +126,20 @@ class GPartSpec extends AnyFunSuite {
     assert(costG <= costAll + 1e-9, "S_thresh must keep cost below the merge-all extreme")
   }
 
+  test("merge rejects two parts with the same id, naming it") {
+    val parts = Seq(Part.initial(0, Seq(0, 1), 1), Part.initial(0, Seq(5, 6), 1))
+    val e = intercept[IllegalArgumentException](GPart.merge(parts, mkCat(10), looseCfg))
+    assert(e.getMessage.contains("part 0"))
+  }
+
+  test("merge rejects a file outside the catalog, naming the part and the file") {
+    for (bad <- Seq(12, 10, -1)) {
+      val parts = Seq(Part.initial(0, Seq(0, 1), 1), Part.initial(3, Seq(bad, 9), 1))
+      val e = intercept[IllegalArgumentException](GPart.merge(parts, mkCat(10), looseCfg))
+      assert(e.getMessage.contains("part 3") && e.getMessage.contains(s"file $bad "), e.getMessage)
+    }
+  }
+
   test("GPartConfig rejects rhoC <= 0") {
     for (bad <- Seq(0.0, -1.0, Double.NaN))
       assert(intercept[IllegalArgumentException](GPartConfig(rhoC = bad)).getMessage.contains("rhoC"))
