@@ -1,7 +1,5 @@
 package repro.core
 
-import scala.collection.mutable
-
 /** Predicted compression performance of one codec on one partition.
   *
   * @param ratio         R^k_n — compression ratio (rawBytes / compressedBytes), >= 1 typically
@@ -290,6 +288,8 @@ object OptAssign {
     * its next-best feasible tier with spare capacity costs the least extra
     * `score` per GB freed (capacity repair frees stored GB; the score only
     * drives preference order). It IS the greedy wherever capacity is slack.
+    * Partitions are visited in instance order, which breaks ties between
+    * equally cheap moves and orders the per-tier usage sums: ids play no part.
     *
     * Cost: O(N·L·K·log(L·K)) once to sort every partition's options into
     * flat arrays of tier, codec, score and stored GB, then O(N + N_l·L·K)
@@ -299,24 +299,19 @@ object OptAssign {
   private[core] def greedyRepair(inst: OptAssignInstance, score: Score): Option[Vector[Assignment]] = {
     val options = inst.parts.map(p => feasibleOptions(inst, p, score))
     if (options.exists(_.isEmpty)) return None
-    // Partitions are visited in the iteration order of a mutable map keyed by
-    // their (distinct) ids. Eviction ties go to the first candidate in that
-    // order, and per-tier usage is summed in it, so the order is part of the
-    // answer; ids need not be contiguous.
-    val slots = mutable.Map.from(inst.parts.indices.map(i => inst.parts(i).id -> i)).valuesIterator.toArray
-    val n     = slots.length
-    // Slot i's options, cheapest first, are entries first(i) until first(i + 1)
+    val n     = options.length
+    // Partition i's options, cheapest first, are entries first(i) until first(i + 1)
     // of the flat arrays; held(i) is the entry it holds, at first its cheapest.
     val first = new Array[Int](n + 1)
-    for (i <- 0 until n) first(i + 1) = first(i) + options(slots(i)).length
+    for (i <- 0 until n) first(i + 1) = first(i) + options(i).length
     val optTier   = new Array[Int](first(n))
     val optCodec  = new Array[Int](first(n))
     val optScore  = new Array[Double](first(n))
     val optStored = new Array[Double](first(n))
-    for (i <- 0 until n; ((l, k, c), j) <- options(slots(i)).zipWithIndex) {
+    for (i <- 0 until n; ((l, k, c), j) <- options(i).zipWithIndex) {
       val o = first(i) + j
       optTier(o) = l; optCodec(o) = k; optScore(o) = c
-      optStored(o) = storedGB(inst.parts(slots(i)), k)
+      optStored(o) = storedGB(inst.parts(i), k)
     }
     val held  = java.util.Arrays.copyOf(first, n)
     val caps  = inst.capacityGB.toArray
@@ -333,10 +328,10 @@ object OptAssign {
       while (l < caps.length && !(used(l) > caps(l) + 1e-9)) l += 1
       if (l == caps.length)
         return Some((0 until n).map { i =>
-          Assignment(inst.parts(slots(i)).id, optTier(held(i)), optCodec(held(i)))
+          Assignment(inst.parts(i).id, optTier(held(i)), optCodec(held(i)))
         }.toVector.sortBy(_.id))
       // The cheapest move (extra score per GB freed) out of the overfull
-      // tier l into a tier with spare capacity; the first one wins ties.
+      // tier l into a tier with spare capacity; the earliest partition wins ties.
       // Double.compare is a total order with NaN above +Infinity.
       var best = -1; var bestOpt = -1; var bestRatio = 0.0
       i = 0

@@ -107,11 +107,11 @@ object ExpTiering {
     rows += TableIVRow("All hot", "N/A", 2,
       benefitOf(TieringBaselines.allHot(inst(2, hotCool)), 2, hotCool))
     rows += TableIVRow("\"Hot\" if data accessed in last 2 mos", "N/A", 4,
-      benefitOf(TieringBaselines.hotIfAccessedRecently(acc, 0, 1, t0, 2), 4, hotCool))
+      benefitOf(TieringBaselines.hotIfAccessedRecently(acc, t0, 2), 4, hotCool))
     rows += TableIVRow("\"Hot\" if data accessed in last 1 mo", "N/A", 4,
-      benefitOf(TieringBaselines.hotIfAccessedRecently(acc, 0, 1, t0, 1), 4, hotCool))
+      benefitOf(TieringBaselines.hotIfAccessedRecently(acc, t0, 1), 4, hotCool))
     rows += TableIVRow("Use optimal tier of prev. month", "N/A", 2,
-      benefitOf(TieringBaselines.prevMonthOptimal(acc, hotCool, 0, t0), 2, hotCool))
+      benefitOf(TieringBaselines.prevMonthOptimal(acc, hotCool, t0), 2, hotCool))
 
     for (h <- Seq(2, 4)) {
       val pred = predicted(h)._1

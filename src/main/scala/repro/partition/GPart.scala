@@ -29,16 +29,21 @@ final case class GPartConfig(
 
 object GPart {
 
-  /** A heap entry: the fractional overlap `w` of the partitions in slots `a`
-    * and `b`.
+  /** A heap entry: the fractional overlap `w` of the partitions in slots
+    * `a` < `b`.
     */
   private final case class Edge(w: Double, a: Int, b: Int)
 
-  /** Max-heap order on `w`. It makes the comparisons `Ordering.by(_.w)` made,
-    * since every enqueued `w` is finite and > 0, without boxing `w`.
+  /** Max-heap order: the larger `w` first, then the lower (`a`, `b`) pair.
+    * Slots are numbered in id order, each pair is enqueued at most once and
+    * slots are never reused, so the order is total: of two equal weights the
+    * lower id pair merges first, whatever the order of the pushes.
     */
-  private val byWeight: Ordering[Edge] = new Ordering[Edge] {
-    def compare(x: Edge, y: Edge): Int = java.lang.Double.compare(x.w, y.w)
+  private val byWeightThenIds: Ordering[Edge] = new Ordering[Edge] {
+    def compare(x: Edge, y: Edge): Int = {
+      val c = java.lang.Double.compare(x.w, y.w)
+      if (c != 0) c else if (x.a != y.a) Integer.compare(y.a, x.a) else Integer.compare(y.b, x.b)
+    }
   }
 
   /** Fractional overlap w = Ov / Sp(a ∪ b) from the overlap and the two
@@ -70,21 +75,20 @@ object GPart {
     * one returned partition. Throws an `IllegalArgumentException` naming the
     * part if two parts share an id or a part holds a file outside `cat`.
     *
-    * Every partition has a dense slot: initial partition i is slot i, and
-    * merge j is slot n + j. Slots hold the sorted files, span, rho and
-    * children of a partition; the `Part`s are built once, at the end.
+    * Every partition has a dense slot: the initial partition with the i-th
+    * smallest id is slot i, and merge j is slot n + j, with an id above
+    * every initial one. Slots hold the sorted files, span, rho and children
+    * of a partition; the `Part`s are built once, at the end.
     * A file → live-slot index restricts scoring to pairs that share a file,
     * the only pairs with w > 0. With h_f the number of partitions that
     * hold file f, the first scan costs O(Σ_f h_f²); each merge costs
     * O(Σ_{f in merge} h_f) to union the files, update the index and score
-    * the merge's neighbours, O(P) to walk the live partitions in their map
-    * order, and O(log E) per heap operation. Which of two equal-weight edges
-    * leaves the heap first depends on the enqueue sequence, so the sequence
-    * is fixed: initial pairs by (i, j), re-inserted edges in the iteration
-    * order of the live id → slot map, which the walk keeps.
+    * the merge's neighbours, and O(log E) per heap operation. Of two
+    * equal-weight edges, the one whose (smaller id, larger id) pair is lower
+    * merges first, so the merges do not depend on the order of `initial`.
     */
   def merge(initial: Seq[Part], cat: FileCatalog, cfg: GPartConfig): Vector[Part] = {
-    val parts = initial.toIndexedSeq
+    val parts = initial.sortBy(_.id).toIndexedSeq
     val n     = parts.length
     val rows  = cat.rows.toArray
     // A run makes at most n - 1 merges, so 2n - 1 slots.
@@ -101,10 +105,10 @@ object GPart {
       while (i < fs.length) { sum += rows(fs(i)); i += 1 }
       span(s) = sum
     }
-    val seen = mutable.HashSet.empty[Int]
     for (i <- 0 until n) {
       val p = parts(i)
-      require(seen.add(p.id), s"part ${p.id}: G-PART's input holds more than one part with this id")
+      require(i == 0 || parts(i - 1).id != p.id,
+        s"part ${p.id}: G-PART's input holds more than one part with this id")
       val fs = p.files.toArray
       java.util.Arrays.sort(fs) // a SortedSet may carry another Ordering
       val outside = fs.filter(f => f < 0 || f >= cat.nFiles)
@@ -160,30 +164,23 @@ object GPart {
       }
     }
 
-    val heap = mutable.PriorityQueue.empty[Edge](byWeight)
+    val heap = mutable.PriorityQueue.empty[Edge](byWeightThenIds)
     def enqueueIfMergeable(a: Int, b: Int, ov: Long): Unit = {
       val w = weight(ov, span(a), span(b))
       if (span(a) < cfg.sThreshRows && span(b) < cfg.sThreshRows &&
           Part.accessCompatible(rho(a), rho(b), cfg.rhoC, cfg.rhoCAbs) && w > 0)
-        heap.enqueue(Edge(w, a, b))
+        heap += Edge(w, math.min(a, b), math.max(a, b))
     }
+    def enqueueTouched(s: Int): Unit =
+      for (t <- 0 until nTouched) enqueueIfMergeable(s, touched(t), ov(touched(t)))
 
-    for (i <- 0 until n) {
-      overlaps(i)(_ > i)
-      java.util.Arrays.sort(touched, 0, nTouched)
-      for (t <- 0 until nTouched) enqueueIfMergeable(i, touched(t), ov(touched(t)))
-    }
+    for (i <- 0 until n) { overlaps(i)(_ > i); enqueueTouched(i) }
 
-    val live   = mutable.Map.from(initial.zipWithIndex.map { case (p, i) => p.id -> i })
-    val ids    = new Array[Int](slots)
-    for (i <- 0 until n) ids(i) = parts(i).id
-    var nextId = initial.iterator.map(_.id).foldLeft(0)(math.max) + 1
-    var next   = n
+    val firstMergeId = math.max(parts.lastOption.fold(0)(_.id), 0) + 1
+    var next = n
 
     while (heap.nonEmpty) {
-      val e = heap.dequeue()
-      val a = e.a
-      val b = e.b
+      val Edge(_, a, b) = heap.dequeue()
       // Lazily skip edges whose endpoints were already merged away.
       if (alive(a) && alive(b)) {
         val m = next
@@ -192,17 +189,12 @@ object GPart {
         rho(m) = rho(a) + rho(b)
         left(m) = a; right(m) = b
         alive(a) = false; alive(b) = false; alive(m) = true
-        ids(m) = nextId
-        nextId += 1
-        live.remove(ids(a)); live.remove(ids(b))
-        live(ids(m)) = m
         files(a).foreach(removeHolder(_, a))
         files(b).foreach(removeHolder(_, b))
         files(m).foreach(addHolder(_, m))
         if (span(m) < cfg.sThreshRows) {
           overlaps(m)(_ != m)
-          if (nTouched > 0)
-            live.foreachEntry((_, k) => if (stamp(k) == call) enqueueIfMergeable(m, k, ov(k)))
+          enqueueTouched(m)
         }
       }
     }
@@ -212,7 +204,7 @@ object GPart {
     for (i <- 0 until n) members(i) = parts(i).members
     for (m <- n until next) members(m) = members(left(m)) union members(right(m))
     def part(s: Int): Part =
-      if (s < n) parts(s) else Part(ids(s), SortedSet.from(files(s)), rho(s), members(s))
-    live.valuesIterator.toVector.sortBy(ids(_)).map(part)
+      if (s < n) parts(s) else Part(firstMergeId + s - n, SortedSet.from(files(s)), rho(s), members(s))
+    (0 until next).filter(alive).map(part).toVector
   }
 }

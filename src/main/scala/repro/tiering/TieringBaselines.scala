@@ -1,6 +1,6 @@
 package repro.tiering
 
-import repro.core.{Assignment, OptAssignInstance, Tier}
+import repro.core.{Assignment, CostModel, OptAssignInstance, Tier}
 
 /** The intuitive / caching-inspired tiering baselines of Table IV.
   * Each returns a tier assignment over the instance's datasets; benefits
@@ -17,20 +17,29 @@ object TieringBaselines {
   def allHot(inst: OptAssignInstance): Vector[Assignment] =
     inst.parts.map(p => Assignment(p.id, p.currentTier, p.currentCodec)).toVector
 
-  /** Rows 2–3: cache rule — Hot iff the dataset was read at least once in
-    * the last `window` months before t0, else Cool.
-    */
-  def hotIfAccessedRecently(acc: EnterpriseSim.Account, hotIdx: Int, coolIdx: Int,
-                            t0: Int, window: Int): Vector[Assignment] =
-    acc.datasets.map(ds => Assignment(ds.id, if (ds.readsIn(t0 - window, t0) > 0) hotIdx else coolIdx, 0))
+  /** The index of `tier` (by name) in `tiers`; a menu without it is rejected by name. */
+  private def indexOf(tiers: Vector[Tier], tier: Tier): Int = {
+    val i = tiers.indexWhere(_.name == tier.name)
+    require(i >= 0, s"tier menu ${tiers.map(_.name).mkString("(", ", ", ")")} has no ${tier.name} tier")
+    i
+  }
 
-  /** Row 4: reuse last month's optimal tier — OPTASSIGN over `tiers` run on
-    * the single month before t0 as if it predicted the future.
+  /** Rows 2–3: cache rule — Hot iff the dataset was read at least once in
+    * the last `window` months before t0, else Cool; tiers index
+    * [[CostModel.hotCool]].
     */
-  def prevMonthOptimal(acc: EnterpriseSim.Account, tiers: Vector[Tier],
-                       hotIdx: Int, t0: Int): Vector[Assignment] = {
+  def hotIfAccessedRecently(acc: EnterpriseSim.Account, t0: Int, window: Int): Vector[Assignment] = {
+    val (hot, cool) = (indexOf(CostModel.hotCool, CostModel.Hot), indexOf(CostModel.hotCool, CostModel.Cool))
+    acc.datasets.map(ds => Assignment(ds.id, if (ds.readsIn(t0 - window, t0) > 0) hot else cool, 0))
+  }
+
+  /** Row 4: reuse last month's optimal tier — OPTASSIGN over `tiers` (which
+    * must hold Hot, every dataset's current tier) run on the single month
+    * before t0 as if it predicted the future.
+    */
+  def prevMonthOptimal(acc: EnterpriseSim.Account, tiers: Vector[Tier], t0: Int): Vector[Assignment] = {
     val prevAccesses = acc.datasets.map(ds => ds.id -> ds.readsIn(t0 - 1, t0)).toMap
-    val prevInst = Tiering.instance(acc, tiers, hotIdx, 1, prevAccesses)
+    val prevInst = Tiering.instance(acc, tiers, indexOf(tiers, CostModel.Hot), 1, prevAccesses)
     Tiering.optAssignTiers(prevInst)
   }
 }

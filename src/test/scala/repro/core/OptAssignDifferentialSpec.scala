@@ -69,4 +69,21 @@ class OptAssignDifferentialSpec extends AnyFunSuite {
       }
     }
   }
+
+  test("relabeling the ids of duplicated equal-score partitions keeps the plan, position by position") {
+    val rng = new Random(45)
+    for (copies <- Seq(2, 5); n <- Seq(4, 40); (premium, hot) <- Seq((0.05, 0.1), (0.3, 0.3))) {
+      val base = OptGen.instance(rng, n, k = 3, bounded = false)
+      val dups = (0 until copies).flatMap(c => base.parts.map(p => p.copy(id = c * n + p.id))).toVector
+      val inst = withCaps(base.copy(parts = dups), premium, hot)
+      def byPosition(i: OptAssignInstance): Vector[(Int, Int)] = {
+        val plan = OptAssign.greedyRepair(i, OptAssign.costOf).get.map(a => a.id -> a).toMap
+        i.parts.map(p => (plan(p.id).tier, plan(p.id).codec)).toVector
+      }
+      val want = byPosition(inst)
+      val ids  = rng.shuffle((0 until 4 * dups.size).toVector).take(dups.size).map(65536 + 7 * _)
+      val relabeled = inst.copy(parts = dups.zip(ids).map { case (p, id) => p.copy(id = id) })
+      assert(byPosition(relabeled) == want, s"copies=$copies n=$n caps=($premium, $hot)")
+    }
+  }
 }

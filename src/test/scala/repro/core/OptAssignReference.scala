@@ -4,7 +4,9 @@ package repro.core
   * every candidate and per-tier usage re-summed over all N assignments
   * inside the candidate loop, O(N_l·L·K·N) per eviction. Kept as the
   * differential-test oracle for [[OptAssign.greedyRepair]], which must return
-  * exactly the same assignments.
+  * exactly the same assignments. Assignments are kept in instance order: of
+  * two equally cheap moves the earlier partition's is taken, and per-tier
+  * usage is summed in that order.
   *
   * Also the eq. (1) arithmetic as first written, each formula working out its
   * own stored GB and decompression time: the oracle for [[OptAssign.costOf]],
@@ -69,12 +71,11 @@ object OptAssignReference {
     def options(p: PartitionStat) = OptAssign.feasibleOptions(inst, p, (_, q, l, k) => score(q, l, k))
     val base0 = inst.parts.map(p => options(p).headOption.map { case (l, k, _) => Assignment(p.id, l, k) })
     if (base0.exists(_.isEmpty)) return None
-    val base = base0.map(_.get)
-    val assign = scala.collection.mutable.Map.from(base.map(a => a.id -> a))
+    val assign = base0.map(_.get).toArray
     val byId   = inst.parts.map(p => p.id -> p).toMap
 
     def used(l: Int): Double =
-      assign.valuesIterator.filter(_.tier == l).map(a => OptAssign.storedGB(byId(a.id), a.codec)).sum
+      assign.iterator.filter(_.tier == l).map(a => OptAssign.storedGB(byId(a.id), a.codec)).sum
 
     var guard = 0
     val maxIters = inst.parts.size * inst.tiers.size * 4 + 16
@@ -82,11 +83,11 @@ object OptAssignReference {
       guard += 1
       val over = inst.tiers.indices.find(l => used(l) > inst.capacityGB(l) + 1e-9)
       over match {
-        case None => return Some(assign.values.toVector.sortBy(_.id))
+        case None => return Some(assign.toVector.sortBy(_.id))
         case Some(l) =>
           // Candidate moves out of the overfull tier l.
           val candidates = for {
-            a <- assign.values.toVector if a.tier == l
+            (a, i) <- assign.toVector.zipWithIndex if a.tier == l
             p = byId(a.id)
             (l2, k2, c2) <- options(p)
             if l2 != l
@@ -94,11 +95,11 @@ object OptAssignReference {
           } yield {
             val cur = score(p, a.tier, a.codec)
             val freed = OptAssign.storedGB(p, a.codec)
-            (a.id, l2, k2, (c2 - cur) / math.max(freed, 1e-12))
+            (i, l2, k2, (c2 - cur) / math.max(freed, 1e-12))
           }
           if (candidates.isEmpty) return None // cannot repair: instance infeasible for this heuristic
-          val (id, l2, k2, _) = candidates.minBy(_._4)
-          assign(id) = Assignment(id, l2, k2)
+          val (i, l2, k2, _) = candidates.minBy(_._4)
+          assign(i) = Assignment(assign(i).id, l2, k2)
       }
     }
     None

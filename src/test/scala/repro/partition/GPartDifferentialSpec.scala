@@ -66,9 +66,6 @@ class GPartDifferentialSpec extends AnyFunSuite {
   }
 
   test("families passed as a List, an empty input and a single partition merge identically") {
-    // A List's knownSize is -1, so G-PART's live map starts at its default
-    // capacity and grows while it is filled; the re-insertion tie-break
-    // follows that map's iteration order.
     for (seed <- 1 to 3; nFamilies <- Seq(50, 200)) {
       val equal = FileCatalog(Vector.fill(nFamilies)(1000L), Vector.fill(nFamilies)(100000L))
       val ties  = QueryWorkload.rangeFamilies(nFamilies, nFamilies, nFamilies / 8, 0.0, seed).toList

@@ -5,11 +5,21 @@ import scala.collection.mutable
 /** G-PART as first written: every pair scored up front, and every live
   * partition re-scored after each merge, with a SortedSet union per pair.
   * Kept as the differential-test oracle for [[GPart.merge]], which must
-  * return exactly the same partitions.
+  * return exactly the same partitions. Of two equal-weight edges, the one
+  * whose (smaller id, larger id) pair is lower merges first.
   */
 object GPartReference {
 
-  private final case class Edge(w: Double, a: Int, b: Int)
+  /** An edge between the partitions with ids `a` and `b`. */
+  private final case class Edge(w: Double, a: Int, b: Int) {
+    def pair: (Int, Int) = (math.min(a, b), math.max(a, b))
+  }
+
+  /** Max-heap order: heavier first, then the lower id pair. */
+  private val heaviestThenLowestPair: Ordering[Edge] = (x, y) => {
+    val c = java.lang.Double.compare(x.w, y.w)
+    if (c != 0) c else Ordering[(Int, Int)].compare(y.pair, x.pair)
+  }
 
   /** Fractional overlap of two partitions; 0 when disjoint. */
   def fractionalOverlap(a: Part, b: Part, cat: FileCatalog): Double = {
@@ -29,7 +39,7 @@ object GPartReference {
   def merge(initial: Seq[Part], cat: FileCatalog, cfg: GPartConfig = GPartConfig()): Vector[Part] = {
     val live   = mutable.Map.from(initial.map(p => p.id -> p))
     var nextId = initial.iterator.map(_.id).foldLeft(0)(math.max) + 1
-    val heap   = mutable.PriorityQueue.empty[Edge](Ordering.by(_.w))
+    val heap   = mutable.PriorityQueue.empty[Edge](heaviestThenLowestPair)
 
     val parts = initial.toIndexedSeq
     for (i <- parts.indices; j <- (i + 1) until parts.length)

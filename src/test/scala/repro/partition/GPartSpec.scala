@@ -87,6 +87,34 @@ class GPartSpec extends AnyFunSuite {
     assert(out.exists(p => p.members == Set(2)))
   }
 
+  test("of two equal-weight edges the lower id pair merges first, whatever the input order") {
+    // w(A, B) = w(B, C) = 10/30; a merge spans 30 rows and freezes, so only
+    // one of the two can happen, and the pair (1, 3) is lower than (3, 7).
+    val cat = mkCat(4)
+    val a = Part.initial(7, Seq(0, 1), 1)
+    val b = Part.initial(3, Seq(1, 2), 1)
+    val c = Part.initial(1, Seq(2, 3), 1)
+    for (order <- Seq(a, b, c).permutations) {
+      val out = GPart.merge(order, cat, looseCfg.copy(sThreshRows = 30))
+      assert(out.map(_.members) == Vector(Set(7), Set(1, 3)), s"input order ${order.map(_.id)}")
+    }
+  }
+
+  test("shuffled equal-weight range families give the same merges") {
+    def key(out: Seq[Part]) = out.map(p => (p.id, p.files, p.members, java.lang.Double.doubleToLongBits(p.rho)))
+    for (seed <- 1 to 4; (nFiles, nFamilies) <- Seq((20, 10), (162, 160), (400, 300))) {
+      val cat   = mkCat(nFiles, rowsEach = 1000)
+      val parts = QueryWorkload.rangeFamilies(nFiles, nFamilies, math.max(1, nFiles / 8), 0.0, seed)
+      for (d <- Seq(2L, 12L, 40L)) {
+        val cfg  = GPartConfig(3.0, 50.0, cat.rows.sum / d)
+        val want = key(GPart.merge(parts, cat, cfg))
+        for (shuffle <- 1 to 3)
+          assert(key(GPart.merge(new Random(shuffle).shuffle(parts), cat, cfg)) == want,
+            s"seed=$seed files=$nFiles families=$nFamilies S_thresh=total/$d shuffle=$shuffle")
+      }
+    }
+  }
+
   test("output rho equals the sum of merged members' rho") {
     val cat = mkCat(4)
     val parts = Seq(Part.initial(0, Seq(0, 1), 2), Part.initial(1, Seq(1, 2), 3))

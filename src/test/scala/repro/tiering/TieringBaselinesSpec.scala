@@ -16,7 +16,7 @@ class TieringBaselinesSpec extends AnyFunSuite {
   }
 
   test("hotIfAccessedRecently: recently-read datasets stay Hot, others go Cool") {
-    val a = TieringBaselines.hotIfAccessedRecently(acc, 0, 1, t0, window = 2)
+    val a = TieringBaselines.hotIfAccessedRecently(acc, t0, window = 2)
     val byId = a.map(x => x.id -> x.tier).toMap
     acc.datasets.foreach { ds =>
       val recent = (t0 - 2 until t0).map(ds.reads).sum
@@ -25,19 +25,28 @@ class TieringBaselinesSpec extends AnyFunSuite {
   }
 
   test("a wider recency window keeps at least as many datasets Hot") {
-    val w1 = TieringBaselines.hotIfAccessedRecently(acc, 0, 1, t0, 1).count(_.tier == 0)
-    val w2 = TieringBaselines.hotIfAccessedRecently(acc, 0, 1, t0, 2).count(_.tier == 0)
+    val w1 = TieringBaselines.hotIfAccessedRecently(acc, t0, 1).count(_.tier == 0)
+    val w2 = TieringBaselines.hotIfAccessedRecently(acc, t0, 2).count(_.tier == 0)
     assert(w2 >= w1)
   }
 
   test("prevMonthOptimal covers all datasets with valid tiers") {
-    val a = TieringBaselines.prevMonthOptimal(acc, CostModel.hotCool, 0, t0)
+    val a = TieringBaselines.prevMonthOptimal(acc, CostModel.hotCool, t0)
     assert(a.length == acc.datasets.length)
     assert(a.forall(x => x.tier >= 0 && x.tier < inst.tiers.length))
   }
 
   test("prevMonthOptimal sends datasets unread last month to Cool") {
-    val a = TieringBaselines.prevMonthOptimal(acc, CostModel.hotCool, 0, t0).map(x => x.id -> x.tier).toMap
+    val a = TieringBaselines.prevMonthOptimal(acc, CostModel.hotCool, t0).map(x => x.id -> x.tier).toMap
     acc.datasets.filter(_.reads(t0 - 1) == 0).foreach(ds => assert(a(ds.id) == 1))
+  }
+
+  test("prevMonthOptimal finds Hot anywhere in the menu and names a menu without it") {
+    val coolFirst = TieringBaselines.prevMonthOptimal(acc, Vector(CostModel.Cool, CostModel.Hot), t0)
+    val hotFirst  = TieringBaselines.prevMonthOptimal(acc, CostModel.hotCool, t0)
+    assert(coolFirst.map(a => a.id -> (1 - a.tier)) == hotFirst.map(a => a.id -> a.tier))
+    val e = intercept[IllegalArgumentException](
+      TieringBaselines.prevMonthOptimal(acc, Vector(CostModel.Premium, CostModel.Cool), t0))
+    assert(e.getMessage.contains("(Premium, Cool)") && e.getMessage.contains("no Hot tier"), e.getMessage)
   }
 }

@@ -61,10 +61,10 @@ class TieringSpec extends AnyFunSuite {
     val optBenefit = Tiering.benefitPct(inst, opt, known)
     // any rule-based assignment must be no better
     for (w <- Seq(1, 2)) {
-      val rule = TieringBaselines.hotIfAccessedRecently(acc, 0, 1, t0, w)
+      val rule = TieringBaselines.hotIfAccessedRecently(acc, t0, w)
       assert(Tiering.benefitPct(inst, rule, known) <= optBenefit + 1e-9)
     }
-    val prev = TieringBaselines.prevMonthOptimal(acc, CostModel.hotCool, 0, t0)
+    val prev = TieringBaselines.prevMonthOptimal(acc, CostModel.hotCool, t0)
     assert(Tiering.benefitPct(inst, prev, known) <= optBenefit + 1e-9)
     assert(optBenefit > 0, "skewed workloads must leave tiering savings on the table")
   }
