@@ -8,9 +8,15 @@ import scala.collection.immutable.SortedSet
   *
   * @param rows  rows(f)  = |R_f|, number of records in file f
   * @param bytes bytes(f) = on-disk raw size of file f
+  * @throws IllegalArgumentException naming the file if a row or byte count
+  *         is negative
   */
 final case class FileCatalog(rows: IndexedSeq[Long], bytes: IndexedSeq[Long]) {
   require(rows.length == bytes.length, "one byte size per file")
+  for (f <- rows.indices) {
+    require(rows(f) >= 0, s"file $f: row count ${rows(f)} is negative")
+    require(bytes(f) >= 0, s"file $f: byte size ${bytes(f)} is negative")
+  }
   def nFiles: Int = rows.length
   def spanRows(files: Iterable[Int]): Long   = files.iterator.map(rows(_)).sum
   def spanBytes(files: Iterable[Int]): Long  = files.iterator.map(bytes(_)).sum

@@ -18,13 +18,20 @@ object QueryWorkload {
     * 1..maxSpanFiles. Frequencies are Zipf(alpha) over family rank when
     * alpha > 0, else uniform in [1, 20]. Families are returned in end-file
     * order so they can feed [[OrderedDP]] directly.
+    *
+    * @throws IllegalArgumentException if `nFiles` is below 1, `nFamilies`
+    *         is negative or `maxSpanFiles` is outside 1..nFiles
     */
   def rangeFamilies(nFiles: Int, nFamilies: Int, maxSpanFiles: Int,
                     zipfAlpha: Double, seed: Long): Vector[Part] = {
+    require(nFiles >= 1, s"nFiles must be at least 1, got $nFiles")
+    require(nFamilies >= 0, s"nFamilies must be non-negative, got $nFamilies")
+    require(maxSpanFiles >= 1 && maxSpanFiles <= nFiles,
+      s"maxSpanFiles must be in 1..$nFiles, got $maxSpanFiles")
     val rng = new Random(seed)
     val raw = (0 until nFamilies).map { i =>
-      val len   = 1 + rng.nextInt(math.max(1, maxSpanFiles))
-      val start = rng.nextInt(math.max(1, nFiles - len + 1))
+      val len   = 1 + rng.nextInt(maxSpanFiles)
+      val start = rng.nextInt(nFiles - len + 1)
       val freq =
         if (zipfAlpha > 0) 100.0 / math.pow(i + 1, zipfAlpha) max 1.0
         else 1.0 + rng.nextInt(20)

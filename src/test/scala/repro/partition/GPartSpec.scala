@@ -15,8 +15,8 @@ class GPartSpec extends AnyFunSuite {
     val a = Part.initial(0, Seq(0, 1), 1)
     val b = Part.initial(1, Seq(0, 1), 1)
     val c = Part.initial(2, Seq(2, 3), 1)
-    assert(GPart.fractionalOverlap(a, b, cat) == 1.0)
-    assert(GPart.fractionalOverlap(a, c, cat) == 0.0)
+    assert(GPartReference.fractionalOverlap(a, b, cat) == 1.0)
+    assert(GPartReference.fractionalOverlap(a, c, cat) == 0.0)
   }
 
   test("every initial partition is covered by exactly one output partition") {

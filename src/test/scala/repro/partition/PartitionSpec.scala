@@ -105,6 +105,16 @@ class PartitionSpec extends AnyFunSuite {
     }
   }
 
+  test("catalog rejects a negative row count and names the file") {
+    val e = intercept[IllegalArgumentException](FileCatalog(Vector(1L, 2L, -3L), Vector(1L, 2L, 3L)))
+    assert(e.getMessage.contains("file 2") && e.getMessage.contains("-3"), e.getMessage)
+  }
+
+  test("catalog rejects a negative byte count and names the file") {
+    val e = intercept[IllegalArgumentException](FileCatalog(Vector(1L, 2L), Vector(-1L, 2L)))
+    assert(e.getMessage.contains("file 0") && e.getMessage.contains("-1"), e.getMessage)
+  }
+
   test("initial partition is its own sole member") {
     val p = Part.initial(5, Seq(0, 1), 2)
     assert(p.members == Set(5))

@@ -52,6 +52,28 @@ class QueryWorkloadSpec extends AnyFunSuite {
     assert(c1.rows.zip(c1.bytes).forall { case (r, b) => b == r * 50 })
   }
 
+  test("rangeFamilies rejects fewer than one file") {
+    for (bad <- Seq(0, -1)) {
+      val e = intercept[IllegalArgumentException](QueryWorkload.rangeFamilies(bad, 5, 1, 1.0, seed = 11))
+      assert(e.getMessage.contains("nFiles") && e.getMessage.contains(s"$bad"), e.getMessage)
+    }
+  }
+
+  test("rangeFamilies rejects a negative family count") {
+    val e = intercept[IllegalArgumentException](QueryWorkload.rangeFamilies(10, -1, 2, 1.0, seed = 12))
+    assert(e.getMessage.contains("nFamilies") && e.getMessage.contains("-1"), e.getMessage)
+    assert(QueryWorkload.rangeFamilies(10, 0, 2, 1.0, seed = 12).isEmpty)
+  }
+
+  test("rangeFamilies rejects a span cap outside 1..nFiles") {
+    for (bad <- Seq(0, -2, 11)) {
+      val e = intercept[IllegalArgumentException](QueryWorkload.rangeFamilies(10, 5, bad, 1.0, seed = 13))
+      assert(e.getMessage.contains("maxSpanFiles") && e.getMessage.contains(s"$bad"), e.getMessage)
+    }
+    val whole = QueryWorkload.rangeFamilies(10, 50, 10, 1.0, seed = 13)
+    assert(whole.forall(_.files.max < 10))
+  }
+
   test("family ids are unique") {
     val fams = QueryWorkload.rangeFamilies(40, 25, 5, 1.0, seed = 10)
     assert(fams.map(_.id).distinct.length == fams.length)
